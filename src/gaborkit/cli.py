@@ -14,6 +14,7 @@ Exit codes: 0 success, 2 configuration error, 3 numerical failure,
 import argparse
 import json
 import math
+import re
 import sys
 
 import numpy as np
@@ -39,6 +40,22 @@ def _parse_pair(text):
     if len(parts) != 2:
         raise ValueError(f"expected 'x,omega', got {text!r}")
     return float(parts[0]), float(parts[1])
+
+
+# flags whose value is a coordinate pair (or list of pairs) that may start
+# with a minus sign, which argparse would otherwise read as an option
+_PAIR_FLAGS = ("--shift", "--extra-shift", "--shifts")
+
+
+def _attach_pair_values(argv):
+    """Rewrite '--shift -0.5,0.3' as '--shift=-0.5,0.3'."""
+    out = []
+    for arg in argv:
+        if out and out[-1] in _PAIR_FLAGS and re.match(r"-[\d.]", arg):
+            out[-1] = f"{out[-1]}={arg}"
+        else:
+            out.append(arg)
+    return out
 
 
 def _window_from_args(args):
@@ -347,7 +364,8 @@ def _merge_config(args):
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser().parse_args(_attach_pair_values(argv))
     try:
         args = _merge_config(args)
     except (OSError, ValueError, json.JSONDecodeError) as exc:

@@ -13,6 +13,10 @@ _THETA_TAIL = 1e-16
 _THETA_K_MIN = 6
 _THETA_K_MAX = 256
 
+# beyond this order 2^n n! overflows a float and the envelope constant below
+# collapses to 0 (then to an OverflowError from order 171 on)
+MAX_ENVELOPE_ORDER = 150
+
 
 def hermite(n, t):
     """Evaluate the n-th normalized Hermite function h_n(t).
@@ -73,8 +77,12 @@ def hermite_envelope_constant(n):
     """Return C such that |h_n(t)| <= C (1 + |t|)^n exp(-pi t^2) for all t.
 
     Built from the absolute-coefficient sum of the degree-n Hermite
-    polynomial, so the bound is rigorous (if crude for large n).
+    polynomial, so the bound is rigorous (if crude for large n).  Orders
+    above :data:`MAX_ENVELOPE_ORDER` raise :class:`ValueError`.
     """
+    if n > MAX_ENVELOPE_ORDER:
+        raise ValueError(f"Hermite order {n} has no certified envelope; "
+                         f"the largest supported order is {MAX_ENVELOPE_ORDER}")
     if n == 0:
         return 2.0 ** 0.25
     prev, cur = [1], [0, 2]

@@ -34,6 +34,20 @@ class Window:
     chain: tuple = ()
     phase: complex = 1.0 + 0.0j
 
+    # Operators are named tuples, and tuples of equal fields compare equal
+    # whatever their kind (Chirp(q) == Dilation(q)); the per-window caches
+    # below need the kind of each link to be part of a window's identity.
+    def _key(self):
+        return self.n, tuple((type(op), op) for op in self.chain), self.phase
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
 
 def window(n, chain=(), phase=1.0):
     """Build a window, normalizing its operator chain.
@@ -199,13 +213,15 @@ class GaussianEnvelope:
         return 2.0 * self.slack
 
 
+@lru_cache(maxsize=64)
 def envelope(w):
     """Certified Gaussian-decay envelope of a window.
 
     Closed-form chains propagate the analytic Hermite bound through each
     operator.  Interpolated windows are certified numerically from their
     sampled realization; :class:`UnboundedWindow` is raised when no Gaussian
-    profile dominates the samples.
+    profile dominates the samples.  Built once per distinct window and
+    cached.
     """
     if closed_form(w):
         amp = hermite_envelope_constant(w.n)
@@ -314,11 +330,25 @@ def descriptor(w):
 
 
 def parse_descriptor(d):
-    """Inverse of :func:`descriptor`."""
+    """Inverse of :func:`descriptor`.
+
+    Raises :class:`ValueError` when the chain is not a list of operator
+    objects, names an unknown operator, or lacks a numeric operator field.
+    """
+    entries = d.get("chain", ())
+    if not isinstance(entries, (list, tuple)):
+        raise ValueError(f"operator chain must be a list, got {entries!r}")
     chain = []
-    for entry in d.get("chain", ()):
-        tag = entry["op"]
+    for entry in entries:
+        tag = entry.get("op") if isinstance(entry, dict) else None
+        if not (isinstance(tag, str) and tag in _OP_TAGS):
+            raise ValueError(f"chain entry {entry!r} is not one of the "
+                             f"operators {', '.join(_OP_TAGS)}")
         cls, fields = _OP_TAGS[tag]
-        chain.append(cls(*(float(entry[f]) for f in fields)))
+        try:
+            chain.append(cls(*(float(entry[f]) for f in fields)))
+        except (KeyError, TypeError) as exc:
+            raise ValueError(f"operator {tag!r} needs the numeric fields "
+                             f"{', '.join(fields)}, got {entry!r}") from exc
     phase = d.get("phase", [1.0, 0.0])
     return window(int(d["hermite"]), tuple(chain), complex(phase[0], phase[1]))

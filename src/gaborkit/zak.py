@@ -9,6 +9,7 @@ small-denominator rationals land exactly on nodes.
 import json
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -22,8 +23,12 @@ TRUNC_MIN = 8
 TRUNC_MAX = 64
 
 
+@lru_cache(maxsize=64)
 def auto_truncation(w, scale=1.0):
-    """Smallest K in [8, 64] whose envelope tail at distance scale*(K-1) is < 1e-14."""
+    """Smallest K in [8, 64] whose envelope tail at distance scale*(K-1) is < 1e-14.
+
+    Cached per (window, scale).
+    """
     env = envelope(w)
     for K in range(TRUNC_MIN, TRUNC_MAX):
         if env.tail(scale * (K - 1)) < _TRUNC_TOL:
@@ -105,14 +110,7 @@ def zak_scaled(a, w, x, omega, trunc=None):
         raise ValueError(f"scaled Zak transform requires a > 0, got {a!r}")
     a = float(a)
     env = envelope(w)
-    if trunc is not None:
-        K = int(trunc)
-    else:
-        K = TRUNC_MAX
-        for cand in range(TRUNC_MIN, TRUNC_MAX):
-            if env.tail(a * (cand - 1)) < _TRUNC_TOL:
-                K = cand
-                break
+    K = int(trunc) if trunc is not None else auto_truncation(w, a)
     k0 = round((float(x) + env.center) / a)
     ks = k0 + np.arange(-K, K + 1, dtype=float)
     vals = evaluate(w, a * ks - float(x))

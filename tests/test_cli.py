@@ -1,5 +1,8 @@
 import csv
 import json
+import sys
+
+import pytest
 
 from gaborkit.cli import main
 
@@ -176,3 +179,33 @@ def test_bad_config_exit_code(tmp_path):
 def test_unknown_preset_exit_code():
     assert run(["frame-bounds", "--hermite", "0", "--set", "Z2",
                 "--extra-shift", "bogus"]) == 2
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--chain", '[{"op":"bogus"}]'], "'bogus'} is not one of the operators"),
+    (["--chain", '[{"op":"dilation"}]'], "'dilation' needs the numeric fields a"),
+    (["--chain", '{"op":"chirp","q":1}'], "operator chain must be a list"),
+    (["--hermite", "200"], "the largest supported order is 150"),
+], ids=["unknown-op", "missing-field", "chain-not-a-list", "hermite-order"])
+def test_malformed_window_exit_code(tmp_path, capsys, flags, message):
+    argv = ["zak-surface", "--n", "8", *flags, "--out", str(tmp_path / "x.csv")]
+    assert run(argv) == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, flag, value", [
+    (["zak-surface", "--hermite", "1", "--n", "16"], "--shift", "-0.5,0.3"),
+    (["frame-bounds", "--hermite", "1", "--set", "Z2", "--n", "32"],
+     "--extra-shift", "-.25,-0.25"),
+    (["frame-bounds", "--hermite", "1", "--generator", "1,0,0,1", "--n", "32"],
+     "--shifts", "-0.25,0.5;0,0"),
+], ids=["shift", "extra-shift", "shifts"])
+def test_negative_pair_value_forms_agree(tmp_path, monkeypatch, argv, flag, value):
+    joined, separated, script = (tmp_path / name for name in ("a", "b", "c"))
+    assert run(argv + [f"{flag}={value}", "--out", str(joined)]) == 0
+    assert run(argv + [flag, value, "--out", str(separated)]) == 0
+    # the console script reads sys.argv
+    monkeypatch.setattr(sys, "argv", ["gaborkit", *argv, flag, value,
+                                      "--out", str(script)])
+    assert main() == 0
+    assert joined.read_bytes() == separated.read_bytes() == script.read_bytes()

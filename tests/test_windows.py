@@ -103,6 +103,16 @@ def test_envelope_dominates_interpolated_window():
     assert np.all(np.abs(f.values) <= env(f.points) + 1e-12)
 
 
+def test_operator_kind_is_part_of_window_identity():
+    # Chirp(q) and Dilation(q) are equal as plain tuples; the cached
+    # realization and envelope must still tell the windows apart
+    a = window(0, (FrFT(0.5), Chirp(0.7)))
+    b = window(0, (FrFT(0.5), Dilation(0.7)))
+    assert a != b
+    assert np.max(np.abs(realize(a).values - realize(b).values)) > 0.1
+    assert envelope(window(0, (Chirp(0.7),))) != envelope(window(0, (Dilation(0.7),)))
+
+
 def test_parity_and_reality():
     assert parity(window(4)) == 1
     assert parity(window(3)) == -1

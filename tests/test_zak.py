@@ -4,10 +4,13 @@ import math
 import numpy as np
 import pytest
 
+from gaborkit import windows
 from gaborkit.errors import PoissonUnavailable
+from gaborkit.frames import GaborSystem, frame_bounds, reduce_to_multiwindow
+from gaborkit.lattices import PRESETS
 from gaborkit.operators import Chirp, Dilation, FrFT
 from gaborkit.special import theta3
-from gaborkit.windows import window
+from gaborkit.windows import envelope, window
 from gaborkit.zak import (ZakSurface, auto_truncation, verify_identities,
                           write_surface_csv, zak_point, zak_scaled,
                           zak_surface, zak_tail_bound)
@@ -194,6 +197,31 @@ def test_interpolated_window_satisfies_identities():
     assert report["quasi_periodicity_x"] <= 1e-9
     assert report["quasi_periodicity_omega"] <= 1e-9
     assert report["shift_covariance"] <= 1e-9
+
+
+def test_envelope_and_truncation_built_once_per_window(monkeypatch):
+    # polishing evaluates the Zak transform of an interpolated window
+    # hundreds of times; its envelope is certified once per window
+    built = []
+    numeric_envelope = windows._numeric_envelope
+
+    def counting(w):
+        built.append(w)
+        return numeric_envelope(w)
+
+    monkeypatch.setattr(windows, "_numeric_envelope", counting)
+    envelope.cache_clear()
+    auto_truncation.cache_clear()
+    w = window(0, (FrFT(0.5), Chirp(0.7)))
+    system = reduce_to_multiwindow(GaborSystem(windows=[w], point_set=PRESETS["Z2"]))
+    frame_bounds(system, resolution=32)
+    assert len(built) == len(set(system.windows)) == 1
+    env, K = envelope(w), auto_truncation(w)
+    envelope.cache_clear()
+    auto_truncation.cache_clear()
+    assert envelope(w) == env
+    assert auto_truncation(w) == K
+    assert len(built) == 2
 
 
 def test_surface_csv_writer(tmp_path):

@@ -28,11 +28,7 @@ from .operators import (Chirp, Dilation, Fourier, FrFT, TFShift, apply_chain,
                         apply_frft, matched_phase_residual, project_isomorphism)
 from .special import theta3
 from .windows import descriptor, parse_descriptor, realize, window
-from .zak import verify_identities, write_surface_csv, zak_surface
-
-
-def _fmt(x):
-    return repr(float(x))
+from .zak import _csv_rows, verify_identities, write_surface_csv, zak_surface
 
 
 def _parse_pair(text):
@@ -153,8 +149,7 @@ def _cmd_frft_apply(args):
     out = args.out or "frft.csv"
     with open(out, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("t,re,im,abs\n")
-        for t, v in zip(f.points, g.values):
-            fh.write(f"{_fmt(t)},{_fmt(v.real)},{_fmt(v.imag)},{_fmt(abs(v))}\n")
+        fh.write(_csv_rows(g.values, [f"{t!r}," for t in f.points.tolist()]))
     if args.meta:
         _write_json({"window": descriptor(w), "angle": float(args.angle),
                      "method": args.method}, args.meta)

@@ -13,6 +13,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ShiftExceedsGrid, SingularAngle, TruncationTooCoarse
+from .lattices import rotation
 from .special import hermite_stack
 
 DEFAULT_EXTENT = 12.0
@@ -349,11 +350,6 @@ def apply_chain(ops, f, frft_method="quadrature"):
     return f
 
 
-def rotation_matrix(r):
-    c, s = math.cos(r), math.sin(r)
-    return np.array([[c, s], [-s, c]])
-
-
 def project_isomorphism(op_or_chain):
     """Project an operator (or a chain) to its 2x2 time-frequency matrix.
 
@@ -373,7 +369,7 @@ def project_isomorphism(op_or_chain):
         elif isinstance(op, Chirp):
             m = np.array([[1.0, 0.0], [op.q, 1.0]])
         elif isinstance(op, FrFT):
-            m = rotation_matrix(op.r)
+            m = rotation(op.r)
         elif isinstance(op, Fourier):
             m = np.array([[0.0, 1.0], [-1.0, 0.0]])
         elif isinstance(op, TFShift):

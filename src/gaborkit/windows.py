@@ -56,12 +56,15 @@ def window(n, chain=(), phase=1.0):
     merged (exactly, including the commutation phase for shifts), and a
     trailing fractional Fourier transform or Fourier transform acting on the
     bare Hermite base is absorbed into the phase via the eigenvalue relation
-    F_r h_n = exp(-i n r) h_n.
+    F_r h_n = exp(-i n r) h_n.  Dilation factors must be finite and > 0.
     """
     if n != int(n) or n < 0:
         raise ValueError(f"Hermite order must be a nonnegative integer, got {n!r}")
     n = int(n)
     ops = list(chain)
+    for op in ops:
+        if isinstance(op, Dilation) and not (math.isfinite(op.a) and op.a > 0):
+            raise ValueError(f"dilation requires a > 0, got {op.a!r}")
     phase = complex(phase)
     changed = True
     while changed:

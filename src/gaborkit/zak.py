@@ -50,10 +50,14 @@ def zak_point(w, x, omega, trunc=None):
 
     The sum runs over 2*trunc + 1 integers centered where the window lives;
     trunc defaults to the envelope-certified choice of
-    :func:`auto_truncation`.
+    :func:`auto_truncation`; x and omega must be finite.
     """
     x_arr = np.asarray(x, dtype=float)
     om_arr = np.asarray(omega, dtype=float)
+    for name, arr in (("x", x_arr), ("omega", om_arr)):
+        if not (math.isfinite(arr) if arr.ndim == 0 else np.isfinite(arr).all()):
+            raise ValueError(f"zak_point requires a finite {name}, "
+                             f"got {float(arr[~np.isfinite(arr)][0])!r}")
     scalar = x_arr.ndim == 0 and om_arr.ndim == 0
     x_b, om_b = np.broadcast_arrays(np.atleast_1d(x_arr), np.atleast_1d(om_arr))
     K = int(trunc) if trunc is not None else auto_truncation(w)
@@ -188,22 +192,23 @@ def verify_identities(w, sample_points, shifts=None, poisson="closed", trunc=Non
     return report
 
 
-def _fmt(x):
-    return repr(float(x))
+def _csv_rows(values, lead):
+    """CSV lines `<lead>re,im,abs` of a complex 1-D array, every float as its
+    shortest round-trip ``repr`` and abs as hypot(re, im)."""
+    re_, im_ = values.real, values.imag
+    return "".join(map("{}{!r},{!r},{!r}\n".format, lead, re_.tolist(),
+                       im_.tolist(), np.hypot(re_, im_).tolist()))
 
 
 def write_surface_csv(surface, csv_path, meta_path=None):
     """Write a surface as CSV rows x,omega,re,im,abs plus a JSON sidecar."""
     N = surface.resolution
-    grid = np.arange(N) / N
+    grid = [f"{g!r}," for g in (np.arange(N) / N).tolist()]
     with open(csv_path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("x,omega,re,im,abs\n")
-        for i in range(N):
-            vi = surface.values[i]
-            for j in range(N):
-                v = vi[j]
-                fh.write(f"{_fmt(grid[i])},{_fmt(grid[j])},{_fmt(v.real)},"
-                         f"{_fmt(v.imag)},{_fmt(abs(v))}\n")
+        # one write per grid row: memory holds one row of text at a time
+        for x, row in zip(grid, surface.values):
+            fh.write(_csv_rows(row, [x + omega for omega in grid]))
     if meta_path is not None:
         meta = {
             "window": descriptor(surface.window_desc),

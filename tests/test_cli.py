@@ -5,6 +5,8 @@ import sys
 import pytest
 
 from gaborkit.cli import main
+from gaborkit.operators import Chirp, Dilation, apply_frft
+from gaborkit.windows import realize, window
 
 
 def run(args):
@@ -139,6 +141,18 @@ def test_frft_apply_outputs(tmp_path):
     assert json.loads(meta.read_text())["angle"] == 0.9
 
 
+def test_frft_apply_csv_bytes_match_per_element_rule(tmp_path):
+    out = tmp_path / "frft.csv"
+    assert run(["frft-apply", "--hermite", "2", "--dilate", "1.3", "--chirp",
+                "0.2", "--angle", "2.1", "--out", str(out)]) == 0
+    f = realize(window(2, (Chirp(0.2), Dilation(1.3))))
+    g = apply_frft(2.1, f)
+    expected = "t,re,im,abs\n" + "".join(
+        f"{float(t)!r},{float(v.real)!r},{float(v.imag)!r},{float(abs(v))!r}\n"
+        for t, v in zip(f.points, g.values))
+    assert out.read_bytes() == expected.encode()
+
+
 def test_frft_apply_singular_angle_exit_code(tmp_path):
     code = run(["frft-apply", "--hermite", "0", "--angle", "0.0005",
                 "--out", str(tmp_path / "x.csv")])
@@ -209,3 +223,15 @@ def test_negative_pair_value_forms_agree(tmp_path, monkeypatch, argv, flag, valu
                                       "--out", str(script)])
     assert main() == 0
     assert joined.read_bytes() == separated.read_bytes() == script.read_bytes()
+
+
+@pytest.mark.parametrize("value", ["0", "-1", "nan", "inf"])
+@pytest.mark.parametrize("command", ["zak-surface", "frame-bounds"])
+def test_invalid_dilation_exit_code(tmp_path, capsys, command, value):
+    message = f"dilation requires a > 0, got {float(value)!r}"
+    argv = [command, "--n", "8", "--out", str(tmp_path / "x")]
+    assert run(argv + [f"--dilate={value}"]) == 2
+    assert message in capsys.readouterr().err
+    chain = json.dumps([{"op": "dilation", "a": float(value)}])
+    assert run(argv + ["--chain", chain]) == 2
+    assert message in capsys.readouterr().err

@@ -8,7 +8,7 @@ from gaborkit import windows
 from gaborkit.errors import PoissonUnavailable
 from gaborkit.frames import GaborSystem, frame_bounds, reduce_to_multiwindow
 from gaborkit.lattices import PRESETS
-from gaborkit.operators import Chirp, Dilation, FrFT
+from gaborkit.operators import Chirp, Dilation, FrFT, TFShift
 from gaborkit.special import theta3
 from gaborkit.windows import envelope, window
 from gaborkit.zak import (ZakSurface, auto_truncation, verify_identities,
@@ -240,3 +240,47 @@ def test_surface_csv_writer(tmp_path):
     first = csv_path.read_bytes()
     write_surface_csv(surf, csv_path, meta_path)
     assert csv_path.read_bytes() == first
+
+
+def per_element_csv(surface):
+    """The surface CSV written one numpy scalar at a time, as a reference."""
+    N = surface.resolution
+    grid = np.arange(N) / N
+    lines = ["x,omega,re,im,abs\n"]
+    for i in range(N):
+        for j in range(N):
+            v = surface.values[i, j]
+            lines.append(f"{float(grid[i])!r},{float(grid[j])!r},"
+                         f"{float(v.real)!r},{float(v.imag)!r},{float(abs(v))!r}\n")
+    return "".join(lines).encode()
+
+
+def signed_zero_surface():
+    """Hand-built values: the Zak surfaces tried hold exact but no signed zeros."""
+    special = [0.0, -0.0, 5e-324, -1e308, 1.0 / 3.0, -2.5e-17, 1e300, 7.0]
+    values = np.empty((8, 8), dtype=complex)
+    values.real = np.resize(special, 64).reshape(8, 8)
+    values.imag = np.resize(special[::-1], 64).reshape(8, 8)
+    return ZakSurface(values=values, window_desc=window(0), resolution=8,
+                      truncation=8, tail_bound=0.0)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: zak_surface(window(3, (Dilation(1.1), Chirp(0.4), TFShift(0.3, -0.2))), 64),
+    lambda: zak_surface(window(1), 64),
+    signed_zero_surface,
+], ids=["chained", "h1", "signed-zeros"])
+def test_surface_csv_bytes_match_per_element_rule(tmp_path, make):
+    surf = make()
+    path = tmp_path / "s.csv"
+    write_surface_csv(surf, path)
+    assert path.read_bytes() == per_element_csv(surf)
+
+
+@pytest.mark.parametrize("x, omega, name", [
+    (math.nan, 0.0, "x"), (math.inf, 0.0, "x"), (0.2, -math.inf, "omega"),
+    (np.array([0.1, math.nan]), 0.3, "x"), (0.1, np.array([0.0, math.nan]), "omega"),
+])
+def test_zak_point_rejects_non_finite_arguments(x, omega, name):
+    with pytest.raises(ValueError, match=f"requires a finite {name}, got"):
+        zak_point(window(0), x, omega)

@@ -63,12 +63,9 @@ def _window_from_args(args):
         ops.append(TFShift(*_parse_pair(args.shift)))
     if getattr(args, "fourier", False):
         ops.append(Fourier())
-    if getattr(args, "frft", None) is not None:
-        ops.append(FrFT(args.frft))
-    if getattr(args, "chirp", None) is not None:
-        ops.append(Chirp(args.chirp))
-    if getattr(args, "dilate", None) is not None:
-        ops.append(Dilation(args.dilate))
+    for kind, flag in ((FrFT, "frft"), (Chirp, "chirp"), (Dilation, "dilate")):
+        if getattr(args, flag, None) is not None:
+            ops.append(kind(getattr(args, flag)))
     return window(args.hermite, tuple(ops))
 
 
@@ -215,10 +212,8 @@ def _suite_frft(args):
 def _suite_intertwine(args):
     rng = np.random.RandomState(777)
     zs = rng.uniform(-2.0, 2.0, size=(args.samples, 2))
-    pairs = [("dilation", Dilation(1.3)), ("chirp", Chirp(0.7)),
-             ("frft", FrFT(0.6)), ("fourier", Fourier())]
     defects = {}
-    for name, op in pairs:
+    for op in (Dilation(1.3), Chirp(0.7), FrFT(0.6), Fourier()):
         U = project_isomorphism(op)
         worst = 0.0
         for n in (0, 1):
@@ -230,7 +225,7 @@ def _suite_intertwine(args):
                 rhs = apply_chain((TFShift(uz[0], uz[1]),), uf)
                 resid, _ = matched_phase_residual(lhs, rhs)
                 worst = max(worst, resid / f.norm())
-        defects[name] = worst
+        defects[op.tag] = worst
     return defects, {k: 1e-6 for k in defects}
 
 

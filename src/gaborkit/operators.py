@@ -1,19 +1,20 @@
 """Time-frequency shifts and the unitary operators with plane isomorphisms.
 
 The operators act on :class:`SampledFunction` values (uniform grids over a
-symmetric interval).  Each operator kind also projects to a 2x2 matrix acting
-on the time-frequency plane; time-frequency shifts project to the identity
-(their effect on point sets is a translation, handled by the lattice module).
+symmetric interval).  Each operator kind is an :class:`Op` that also projects
+to a 2x2 matrix acting on the time-frequency plane; time-frequency shifts
+project to the identity (their effect on point sets is a translation,
+handled by the lattice module).
 """
 
+import cmath
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ShiftExceedsGrid, SingularAngle, TruncationTooCoarse
-from .lattices import rotation
+from .lattices import dilation_matrix, rotation, shear
 from .special import hermite_stack
 
 DEFAULT_EXTENT = 12.0
@@ -25,38 +26,6 @@ _EXACT_ANGLE = 1e-12
 
 _SUPPORT_REL = 1e-14
 _CHUNK = 512
-
-
-class Dilation(NamedTuple):
-    """Unitary dilation f(t) -> a^(-1/2) f(t/a), a > 0."""
-
-    a: float
-
-
-class Chirp(NamedTuple):
-    """Quadratic phase multiplication f(t) -> exp(i pi q t^2) f(t)."""
-
-    q: float
-
-
-class FrFT(NamedTuple):
-    """Fractional Fourier transform by angle r."""
-
-    r: float
-
-
-class TFShift(NamedTuple):
-    """Time-frequency shift f(t) -> exp(2 pi i omega t) f(t - x)."""
-
-    x: float
-    omega: float
-
-
-class Fourier(NamedTuple):
-    """The ordinary Fourier transform (angle pi/2 member of the family)."""
-
-
-POINTWISE_OPS = (Dilation, Chirp, TFShift)
 
 
 def grid_points(extent=DEFAULT_EXTENT, step=DEFAULT_STEP):
@@ -328,55 +297,188 @@ def apply_fourier(f):
     return _frft_quadrature(0.5 * math.pi, f)
 
 
+@dataclass(frozen=True)
+class Op:
+    """An operator-isomorphism pair: a unitary U and its matrix A, U pi(z) = c pi(Az) U.
+
+    Immutable, compared by kind and fields (``Chirp(0.7) != Dilation(0.7)``),
+    with finite fields.  A subclass holds every fact about its kind, None
+    where it lacks one: ``tag`` (JSON name), ``matrix()`` (A), ``apply(f)``,
+    ``at(g, t)`` ((U g)(t) for pointwise U), ``is_identity()``,
+    ``merge(right)`` ((op, c) with self . right = c op for the same kind),
+    ``fourier(phase)`` ((op, phase c) with F . self = c op . F),
+    ``hermite_eigenvalue(n)`` and ``envelope_step(n, amp, scale, center)``
+    (the Gaussian envelope of U g from that of g, for g of degree n).
+    """
+
+    at = merge = fourier = hermite_eigenvalue = None
+    keeps_parity = True  # U maps even/odd functions to even/odd functions
+    keeps_real = False   # U maps real functions to real functions
+
+    def __post_init__(self):
+        for name, value in vars(self).items():
+            if not math.isfinite(value):
+                raise ValueError(f"{self.tag} requires a finite {name}, got {value!r}")
+
+    def is_identity(self):
+        return False
+
+    def envelope_step(self, n, amp, scale, center):
+        return amp, scale, center
+
+
+@dataclass(frozen=True)
+class Dilation(Op):
+    """Unitary dilation f(t) -> a^(-1/2) f(t/a), a > 0; projects to diag(a, 1/a)."""
+
+    a: float
+    tag = "dilation"
+    keeps_real = True
+
+    def __post_init__(self):
+        if not (math.isfinite(self.a) and self.a > 0):
+            raise ValueError(f"dilation requires a > 0, got {self.a!r}")
+
+    def matrix(self):
+        return dilation_matrix(self.a)
+
+    def apply(self, f, frft_method="quadrature"):
+        return apply_dilation(self.a, f)
+
+    def at(self, g, t):
+        return g(t / self.a) / math.sqrt(self.a)
+
+    def is_identity(self):
+        return self.a == 1.0
+
+    def merge(self, right):
+        return Dilation(self.a * right.a), 1.0
+
+    def fourier(self, phase):
+        # F D_a = D_{1/a} F
+        return Dilation(1.0 / self.a), phase
+
+    def envelope_step(self, n, amp, scale, center):
+        return (amp * (max(1.0, 1.0 / self.a) ** n / math.sqrt(self.a)),
+                scale * self.a, center * self.a)
+
+
+@dataclass(frozen=True)
+class Chirp(Op):
+    """Chirp multiplication f(t) -> exp(i pi q t^2) f(t); projects to [[1, 0], [q, 1]]."""
+
+    q: float
+    tag = "chirp"
+
+    def matrix(self):
+        return shear(self.q)
+
+    def apply(self, f, frft_method="quadrature"):
+        return apply_chirp(self.q, f)
+
+    def at(self, g, t):
+        return np.exp(1j * math.pi * self.q * np.square(t)) * g(t)
+
+    def is_identity(self):
+        return self.q == 0.0
+
+    def merge(self, right):
+        return Chirp(self.q + right.q), 1.0
+
+
+@dataclass(frozen=True)
+class FrFT(Op):
+    """Fractional Fourier transform by angle r; projects to the rotation by r."""
+
+    r: float
+    tag = "frft"
+
+    def matrix(self):
+        return rotation(self.r)
+
+    def apply(self, f, frft_method="quadrature"):
+        return apply_frft(self.r, f, method=frft_method)
+
+    def is_identity(self):
+        rm = self.r % math.tau
+        return min(rm, math.tau - rm) < 1e-12
+
+    def merge(self, right):
+        return FrFT(self.r + right.r), 1.0
+
+    def hermite_eigenvalue(self, n):
+        return cmath.exp(-1j * n * self.r)
+
+
+@dataclass(frozen=True)
+class TFShift(Op):
+    """Time-frequency shift f(t) -> exp(2 pi i omega t) f(t - x); projects to the identity."""
+
+    x: float
+    omega: float
+    tag = "tfshift"
+    keeps_parity = False
+
+    def matrix(self):
+        return np.eye(2)
+
+    def apply(self, f, frft_method="quadrature"):
+        return apply_tf_shift((self.x, self.omega), f)
+
+    def at(self, g, t):
+        return np.exp(2j * math.pi * self.omega * np.asarray(t, float)) * g(t - self.x)
+
+    def is_identity(self):
+        return self.x == 0.0 and self.omega == 0.0
+
+    def merge(self, right):
+        # pi(z1) pi(z2) = exp(-2 pi i x1 omega2) pi(z1 + z2)
+        extra = cmath.exp(-2j * math.pi * self.x * right.omega)
+        return TFShift(self.x + right.x, self.omega + right.omega), extra
+
+    def fourier(self, phase):
+        # F pi(x, omega) = exp(2 pi i x omega) pi(omega, -x) F
+        phase *= cmath.exp(2j * math.pi * self.x * self.omega)
+        return TFShift(self.omega, -self.x), phase
+
+    def envelope_step(self, n, amp, scale, center):
+        return amp, scale, center + self.x
+
+
+@dataclass(frozen=True)
+class Fourier(Op):
+    """The ordinary Fourier transform (angle pi/2 member of the family)."""
+
+    tag = "fourier"
+
+    def matrix(self):
+        return np.array([[0.0, 1.0], [-1.0, 0.0]])
+
+    def apply(self, f, frft_method="quadrature"):
+        return apply_fourier(f)
+
+    def hermite_eigenvalue(self, n):
+        return (-1j) ** n
+
+
 def apply_op(op, f, frft_method="quadrature"):
     """Apply a single operator to a sampled function."""
-    if isinstance(op, Dilation):
-        return apply_dilation(op.a, f)
-    if isinstance(op, Chirp):
-        return apply_chirp(op.q, f)
-    if isinstance(op, TFShift):
-        return apply_tf_shift((op.x, op.omega), f)
-    if isinstance(op, FrFT):
-        return apply_frft(op.r, f, method=frft_method)
-    if isinstance(op, Fourier):
-        return apply_fourier(f)
-    raise TypeError(f"unknown operator {op!r}")
+    return op.apply(f, frft_method)
 
 
 def apply_chain(ops, f, frft_method="quadrature"):
     """Apply an operator chain (rightmost entry acts first)."""
     for op in reversed(tuple(ops)):
-        f = apply_op(op, f, frft_method=frft_method)
+        f = op.apply(f, frft_method)
     return f
 
 
 def project_isomorphism(op_or_chain):
-    """Project an operator (or a chain) to its 2x2 time-frequency matrix.
-
-    Dilation(a) -> diag(a, 1/a), Chirp(q) -> [[1, 0], [q, 1]],
-    FrFT(r) -> rotation by r, Fourier -> rotation by pi/2, and TFShift ->
-    identity.  A chain projects to the ordered product; the determinant is
-    always 1.
-    """
-    if isinstance(op_or_chain, (Dilation, Chirp, FrFT, TFShift, Fourier)):
-        ops = (op_or_chain,)
-    else:
-        ops = tuple(op_or_chain)
+    """Project an operator (or a chain, as the ordered product) to its 2x2 matrix of det 1."""
+    ops = (op_or_chain,) if isinstance(op_or_chain, Op) else tuple(op_or_chain)
     out = np.eye(2)
     for op in ops:
-        if isinstance(op, Dilation):
-            m = np.array([[op.a, 0.0], [0.0, 1.0 / op.a]])
-        elif isinstance(op, Chirp):
-            m = np.array([[1.0, 0.0], [op.q, 1.0]])
-        elif isinstance(op, FrFT):
-            m = rotation(op.r)
-        elif isinstance(op, Fourier):
-            m = np.array([[0.0, 1.0], [-1.0, 0.0]])
-        elif isinstance(op, TFShift):
-            m = np.eye(2)
-        else:
-            raise TypeError(f"unknown operator {op!r}")
-        out = out @ m
+        out = out @ op.matrix()
     return out
 
 

@@ -46,30 +46,27 @@ def hermite(n, t):
     """
     if n != int(n) or n < 0:
         raise ValueError(f"Hermite order must be a nonnegative integer, got {n!r}")
-    n = int(n)
-    t = np.asarray(t, dtype=float)
-    h_prev = 2.0 ** 0.25 * np.exp(-np.pi * t * t)
-    if n == 0:
-        return h_prev if h_prev.ndim else float(h_prev)
-    h_cur = 2.0 * _SQRT_PI * t * h_prev
-    for k in range(1, n):
-        h_next = (2.0 * _SQRT_PI / math.sqrt(k + 1.0)) * t * h_cur \
-            - math.sqrt(k / (k + 1.0)) * h_prev
-        h_prev, h_cur = h_cur, h_next
-    return h_cur if h_cur.ndim else float(h_cur)
+    *_, h = _hermite_rows(int(n), np.asarray(t, dtype=float))
+    return h if h.ndim else float(h)
 
 
 def hermite_stack(n_max, t):
     """Evaluate h_0 .. h_n_max at the points t, returned as rows of one array."""
     t = np.atleast_1d(np.asarray(t, dtype=float))
     out = np.empty((n_max + 1, t.size))
-    out[0] = 2.0 ** 0.25 * np.exp(-np.pi * t * t)
-    if n_max >= 1:
-        out[1] = 2.0 * _SQRT_PI * t * out[0]
-    for k in range(1, n_max):
-        out[k + 1] = (2.0 * _SQRT_PI / math.sqrt(k + 1.0)) * t * out[k] \
-            - math.sqrt(k / (k + 1.0)) * out[k - 1]
+    for k, row in enumerate(_hermite_rows(n_max, t)):
+        out[k] = row
     return out
+
+
+def _hermite_rows(n_max, t):
+    # the recurrence of :func:`hermite` with h_(-1) = 0, yielding h_0 .. h_n_max
+    h_prev, h_cur = 0.0, 2.0 ** 0.25 * np.exp(-np.pi * t * t)
+    yield h_cur
+    for k in range(n_max):
+        h_prev, h_cur = h_cur, (2.0 * _SQRT_PI / math.sqrt(k + 1.0)) * t * h_cur \
+            - math.sqrt(k / (k + 1.0)) * h_prev
+        yield h_cur
 
 
 @lru_cache(maxsize=128)

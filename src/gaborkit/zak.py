@@ -15,8 +15,8 @@ import numpy as np
 
 from .errors import PoissonUnavailable
 from .operators import Fourier
-from .windows import (Window, descriptor, envelope, evaluate, fourier_window,
-                      is_interpolated, is_real, parity, shifted, window)
+from .windows import (Window, closed_form, descriptor, envelope, evaluate,
+                      fourier_window, is_real, parity, shifted, window)
 
 _TRUNC_TOL = 1e-14
 TRUNC_MIN = 8
@@ -215,7 +215,7 @@ def write_surface_csv(surface, csv_path, meta_path=None):
             "resolution": surface.resolution,
             "truncation": surface.truncation,
             "tail_bound": float(surface.tail_bound),
-            "interpolated": is_interpolated(surface.window_desc),
+            "interpolated": not closed_form(surface.window_desc),
         }
         with open(meta_path, "w", encoding="utf-8", newline="\n") as fh:
             json.dump(meta, fh, indent=2, sort_keys=True)

@@ -235,3 +235,18 @@ def test_invalid_dilation_exit_code(tmp_path, capsys, command, value):
     chain = json.dumps([{"op": "dilation", "a": float(value)}])
     assert run(argv + ["--chain", chain]) == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--chirp", "nan"], "chirp requires a finite q, got nan"),
+    (["--frft", "inf", "--chirp", "0.3"], "frft requires a finite r, got inf"),
+    (["--shift=nan,0"], "tfshift requires a finite x, got nan"),
+    (["--chain", '[{"op": "chirp", "q": NaN}]'], "chirp requires a finite q, got nan"),
+    (["--chain", '[{"op": "tfshift", "x": 0, "omega": -Infinity}]'],
+     "tfshift requires a finite omega, got -inf"),
+], ids=["chirp", "frft", "shift", "chain-nan", "chain-infinity"])
+def test_non_finite_operator_field_exit_code(tmp_path, capsys, flags, message):
+    out = tmp_path / "x.csv"
+    assert run(["zak-surface", "--n", "8", *flags, "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()

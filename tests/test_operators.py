@@ -200,3 +200,24 @@ def test_support_radius():
     f = realize(window(0))
     r = support_radius(f)
     assert 2.0 < r < 4.5
+
+
+def test_operators_compare_by_kind():
+    assert Chirp(0.7) != Dilation(0.7)
+    assert FrFT(0.7) != Chirp(0.7)
+    assert TFShift(0.5, 0.25) == TFShift(0.5, 0.25)
+    assert Fourier() == Fourier()
+    assert len({Chirp(0.7), Dilation(0.7), FrFT(0.7), Chirp(0.7)}) == 3
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda v: Dilation(v), "dilation requires a > 0"),
+    (lambda v: Chirp(v), "chirp requires a finite q"),
+    (lambda v: FrFT(v), "frft requires a finite r"),
+    (lambda v: TFShift(v, 0.0), "tfshift requires a finite x"),
+    (lambda v: TFShift(0.0, v), "tfshift requires a finite omega"),
+], ids=["dilation", "chirp", "frft", "shift-x", "shift-omega"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_operator_fields_must_be_finite(make, message, value):
+    with pytest.raises(ValueError, match=message):
+        make(value)

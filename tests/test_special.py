@@ -144,3 +144,10 @@ def test_theta_rejects_nonpositive():
         theta3(0.0)
     with pytest.raises(ValueError):
         theta3(-1.0)
+
+
+@pytest.mark.parametrize("n", range(9))
+def test_hermite_is_a_row_of_the_stack(n):
+    t = np.linspace(-6.0, 6.0, 35).reshape(5, 7)
+    row = hermite_stack(n, t.ravel())[n]
+    assert np.array_equal(hermite(n, t), row.reshape(t.shape))

@@ -3,9 +3,10 @@
 A system over a reducible point set is first rewritten as a multi-window
 system over the integer lattice; the frame bounds are then the extrema of
 the multi-window Zak objective sum_m |Z g_m|^2 on the fundamental domain.
-Grid extrema are refined by derivative-free local minimization, and verdicts
-are gated by certified zeros (not-frame) or a grid-Lipschitz slack margin
-(likely-frame).
+Candidate grid minima are refined all at once by damped Newton steps whose
+derivatives come from finite differences of batched Zak values, and
+verdicts are gated by certified zeros (not-frame) or a grid-Lipschitz slack
+margin (likely-frame).
 """
 
 import math
@@ -137,42 +138,86 @@ def _objective(windows, trunc):
     return fn
 
 
-def _golden_1d(fn, lo, hi, tol):
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = fn(c), fn(d)
-    while (b - a) > tol:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = fn(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = fn(d)
-    return (c, fc) if fc < fd else (d, fd)
+# stencil of the local model: the point, +-h in each coordinate for first
+# differences, and +-h2 with the four corners for second differences
+_H1, _H2 = 1e-7, 1e-4
+_STENCIL = np.array([(0.0, 0.0), (_H1, 0.0), (-_H1, 0.0), (0.0, _H1), (0.0, -_H1),
+                     (_H2, 0.0), (-_H2, 0.0), (0.0, _H2), (0.0, -_H2),
+                     (_H2, _H2), (_H2, -_H2), (-_H2, _H2), (-_H2, -_H2)])
+_ZERO_OBJECTIVE = 1e-30
+_LAMBDA_START, _LAMBDA_MAX = 1e-3, 1e12
+_MAX_ITERATIONS = 100
 
 
-def _polish(objective, x0, om0, radius, obj_tol=1e-12, max_sweeps=200):
-    # coordinate-descent golden-section; derivative-free, torus-unaware
-    # (radius never exceeds one grid cell, so no wrapping is needed)
-    x, om = float(x0), float(om0)
-    best = objective(x, om)
-    for _ in range(max_sweeps):
-        prev = best
-        xc, fx = _golden_1d(lambda u: objective(u, om), x - radius, x + radius, 1e-13)
-        if fx < best:
-            x, best = xc, fx
-        oc, fo = _golden_1d(lambda u: objective(x, u), om - radius, om + radius, 1e-13)
-        if fo < best:
-            om, best = oc, fo
-        # relative stop: tilted zero valleys keep improving by factors, so an
-        # absolute threshold would quit many orders of magnitude too early
-        if prev - best <= obj_tol * max(prev, 1e-300) or best < 1e-30:
+def _local_model(windows, pts, trunc):
+    """Objective F = sum_m |Z g_m|^2 at each point of pts (n x 2), with half
+    its gradient J^T r and half its Hessian J^T J + sum r . hess(r), where r
+    stacks (Re Z g_m, Im Z g_m); one batched zak_point call per window."""
+    X = pts[:, :1] + _STENCIL[:, 0]
+    Om = pts[:, 1:] + _STENCIL[:, 1]
+    F = np.zeros(len(pts))
+    grad = np.zeros((len(pts), 2))
+    hess = np.zeros((len(pts), 2, 2))
+    for g in windows:
+        z = zak_point(g, X, Om, trunc)
+        c = z[:, 0]
+        d = (z[:, [1, 3]] - z[:, [2, 4]]) / (2.0 * _H1)
+        dd = np.empty((len(pts), 2, 2), dtype=complex)
+        dd[:, 0, 0] = z[:, 5] + z[:, 6] - 2.0 * c
+        dd[:, 1, 1] = z[:, 7] + z[:, 8] - 2.0 * c
+        dd[:, 0, 1] = dd[:, 1, 0] = (z[:, 9] - z[:, 10] - z[:, 11] + z[:, 12]) / 4.0
+        F += c.real ** 2 + c.imag ** 2
+        grad += (d.conj() * c[:, None]).real
+        hess += (d.conj()[:, :, None] * d[:, None, :]).real \
+            + (c.conj()[:, None, None] * dd).real / (_H2 * _H2)
+    return F, grad, hess
+
+
+def _damped_step(grad, hess, lam, radius):
+    """Newton steps on (hess + shift + lam * scale) d = -grad, the shift
+    making each 2 x 2 Hessian positive definite, capped at length radius."""
+    a, b, c = hess[:, 0, 0], hess[:, 0, 1], hess[:, 1, 1]
+    scale = np.maximum(np.abs(a) + np.abs(c), 1e-300)
+    lowest = 0.5 * (a + c) - np.hypot(0.5 * (a - c), b)
+    mu = np.maximum(0.0, 1e-12 * scale - lowest) + lam * scale
+    a, c = a + mu, c + mu
+    det = np.maximum(a * c - b * b, 1e-300)
+    step = np.stack([b * grad[:, 1] - c * grad[:, 0],
+                     b * grad[:, 0] - a * grad[:, 1]], axis=1) / det[:, None]
+    length = np.hypot(step[:, 0], step[:, 1])
+    return step * np.minimum(1.0, radius / np.maximum(length, 1e-300))[:, None]
+
+
+def _polish(windows, starts, radius, trunc, refine_tol):
+    """Refine all candidate points at once by damped (Levenberg-Marquardt)
+    Newton steps on F; returns the refined points.
+
+    A candidate stops when F < 1e-30 (so exact zeros are never moved), when
+    an accepted step improves F by at most refine_tol relatively, or when
+    its damping exceeds 1e12.  Every trial point is evaluated on its own
+    stencil, so an accepted step already carries its derivatives.
+    """
+    pts = np.array(starts, dtype=float)
+    F, grad, hess = _local_model(windows, pts, trunc)
+    lam = np.full(len(pts), _LAMBDA_START)
+    active = F >= _ZERO_OBJECTIVE
+    for _ in range(_MAX_ITERATIONS):
+        idx = np.flatnonzero(active)
+        if not idx.size:
             break
-    return x, om, best
+        trial = pts[idx] + _damped_step(grad[idx], hess[idx], lam[idx], radius)
+        Ft, grad_t, hess_t = _local_model(windows, trial, trunc)
+        better = Ft < F[idx]
+        acc, rej = idx[better], idx[~better]
+        converged = (Ft[better] < _ZERO_OBJECTIVE) \
+            | (F[acc] - Ft[better] <= refine_tol * F[acc])
+        pts[acc], F[acc] = trial[better], Ft[better]
+        grad[acc], hess[acc] = grad_t[better], hess_t[better]
+        lam[acc] /= 10.0
+        lam[rej] *= 10.0
+        active[acc[converged]] = False
+        active[rej[lam[rej] > _LAMBDA_MAX]] = False
+    return pts
 
 
 def _snap(objective, x, om, best):
@@ -215,6 +260,12 @@ def _grid_slack(F):
                float(np.max(np.abs(F - np.roll(F, 1, axis=1)))))
 
 
+def _unit(v):
+    # the representative in [0, 1): v % 1.0 is 1.0 for tiny negative v
+    v %= 1.0
+    return 0.0 if v == 1.0 else v
+
+
 def _torus_dist(a, b):
     d = abs(a - b) % 1.0
     return min(d, 1.0 - d)
@@ -235,11 +286,11 @@ def _search_zeros(windows, resolution, trunc, tol, refine_tol=1e-12):
     cand = np.argwhere(_local_minima_mask(F) & (F <= threshold))
     objective = _objective(windows, trunc)
     polished = []
-    for i, j in cand:
-        x, om, val = _polish(objective, i / N, j / N, radius=1.2 / N,
-                             obj_tol=refine_tol)
-        x, om, val = _snap(objective, x % 1.0, om % 1.0, val)
-        polished.append(Zero(x % 1.0, om % 1.0, math.sqrt(max(val, 0.0))))
+    for x, om in _polish(windows, cand / N, 1.2 / N, trunc, refine_tol).tolist():
+        # the reported residual is the scalar objective, which _snap compares
+        x, om = _unit(x), _unit(om)
+        x, om, val = _snap(objective, x, om, objective(x, om))
+        polished.append(Zero(_unit(x), _unit(om), math.sqrt(max(val, 0.0))))
     polished.sort(key=lambda z: z.residual)
     A_refined = min([A_grid] + [z.residual ** 2 for z in polished])
     # a polished candidate counts as a zero only if its residual is far
@@ -260,8 +311,10 @@ def frame_bounds(sys, resolution=64, trunc=None, refine_tol=1e-12):
     """Estimate frame bounds and locate zeros of the multi-window Zak objective.
 
     The objective sum_m |Z g_m|^2 is evaluated on an N x N grid; grid nodes
-    that are candidate zeros are polished by coordinate-descent
-    golden-section minimization to the requested objective tolerance.  The
+    that are candidate zeros are polished together by damped Newton steps
+    (Levenberg-Marquardt damping, Hessian J^T J plus the residual curvature)
+    until an accepted step improves the objective by at most refine_tol
+    relatively, the objective drops below 1e-30, or the damping runs out.  The
     verdict is NotFrame only with a certified zero (residual <= 1e-10 at a
     small-denominator rational point), LikelyFrame only when the grid
     minimum clears ten times the grid-Lipschitz slack, and Inconclusive

@@ -240,7 +240,8 @@ def parse_descriptor(d):
     """Inverse of :func:`descriptor`.
 
     Raises :class:`ValueError` when the chain is not a list of operator
-    objects, names an unknown operator, or lacks a numeric operator field.
+    objects, names an unknown operator, lacks a numeric operator field, or
+    holds a key that the operator does not have.
     """
     entries = d.get("chain", ())
     if not isinstance(entries, (list, tuple)):
@@ -253,6 +254,10 @@ def parse_descriptor(d):
             raise ValueError(f"chain entry {entry!r} is not one of the "
                              f"operators {', '.join(kinds)}")
         fields = [f.name for f in dataclasses.fields(kinds[tag])]
+        unknown = [k for k in entry if k != "op" and k not in fields]
+        if unknown:
+            raise ValueError(f"operator {tag!r} has no field "
+                             f"{', '.join(map(repr, unknown))}, got {entry!r}")
         try:
             chain.append(kinds[tag](*(float(entry[f]) for f in fields)))
         except (KeyError, TypeError) as exc:

@@ -13,7 +13,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import PoissonUnavailable
+from .errors import PoissonUnavailable, UnboundedWindow
 from .operators import Fourier
 from .windows import (Window, closed_form, descriptor, envelope, evaluate,
                       fourier_window, is_real, parity, shifted, window)
@@ -45,12 +45,19 @@ def zak_tail_bound(w, trunc, scale=1.0):
     return env.tail(scale * (trunc - 1)) + env.floor
 
 
+def _finite(vals):
+    if not np.isfinite(vals).all():
+        raise UnboundedWindow("the window has non-finite values on the Zak sum's points")
+    return vals
+
+
 def zak_point(w, x, omega, trunc=None):
     """Zak transform of a window at (x, omega); broadcasts over arrays.
 
     The sum runs over 2*trunc + 1 integers centered where the window lives;
     trunc defaults to the envelope-certified choice of
-    :func:`auto_truncation`; x and omega must be finite.
+    :func:`auto_truncation`; x and omega must be finite.  Raises
+    :class:`UnboundedWindow` when a window value in the sum is not finite.
     """
     x_arr = np.asarray(x, dtype=float)
     om_arr = np.asarray(omega, dtype=float)
@@ -67,7 +74,7 @@ def zak_point(w, x, omega, trunc=None):
     k_lo = math.floor(float(x_b.min()) + center) - K
     k_hi = math.ceil(float(x_b.max()) + center) + K
     ks = np.arange(k_lo, k_hi + 1, dtype=float)
-    vals = evaluate(w, ks[None, :] - x_b.ravel()[:, None])
+    vals = _finite(evaluate(w, ks[None, :] - x_b.ravel()[:, None]))
     phases = np.exp(2j * np.pi * om_b.ravel()[:, None] * ks[None, :])
     out = np.sum(vals * phases, axis=1).reshape(x_b.shape)
     return complex(out[(0,) * out.ndim]) if scalar else out
@@ -88,7 +95,10 @@ class ZakSurface:
 
 
 def zak_surface(w, resolution, trunc=None):
-    """Evaluate the Zak transform of a window on the fundamental-domain grid."""
+    """Evaluate the Zak transform of a window on the fundamental-domain grid.
+
+    Raises :class:`UnboundedWindow` when a window value in the sum is not finite.
+    """
     N = int(resolution)
     if N < 8:
         raise ValueError(f"surface resolution must be at least 8, got {resolution!r}")
@@ -98,7 +108,7 @@ def zak_surface(w, resolution, trunc=None):
     k_lo, k_hi = math.floor(center) - K, math.ceil(center) + 1 + K
     ks = np.arange(k_lo, k_hi + 1, dtype=float)
     xs = np.arange(N, dtype=float) / N
-    vals = evaluate(w, ks[None, :] - xs[:, None])          # N x nk
+    vals = _finite(evaluate(w, ks[None, :] - xs[:, None]))  # N x nk
     phases = np.exp(2j * np.pi * np.outer(ks, np.arange(N) / N))  # nk x N
     return ZakSurface(values=vals @ phases, window_desc=w, resolution=N,
                       truncation=K, tail_bound=env.tail(K - 1) + env.floor)

@@ -2,6 +2,7 @@ import csv
 import json
 import sys
 
+import numpy as np
 import pytest
 
 from gaborkit.cli import main
@@ -250,3 +251,37 @@ def test_non_finite_operator_field_exit_code(tmp_path, capsys, flags, message):
     assert run(["zak-surface", "--n", "8", *flags, "--out", str(out)]) == 2
     assert message in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["zak-surface", "frame-bounds"])
+@pytest.mark.parametrize("chain, message", [
+    ('[{"op": "dilation", "a": 2.0, "omgea": 1.0}]', "'dilation' has no field 'omgea'"),
+    ('[{"op": "fourier", "r": 3.0}]', "'fourier' has no field 'r'"),
+], ids=["misspelt-key", "fourier-angle"])
+def test_unknown_chain_key_exit_code(tmp_path, capsys, command, chain, message):
+    out = tmp_path / "x"
+    assert run([command, "--n", "8", "--chain", chain, "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["zak-surface", "frame-bounds"])
+def test_non_finite_closed_form_values_exit_code(tmp_path, capsys, command):
+    # t / a overflows in the dilation, and the chirp turns h_0(inf) = 0 into NaN
+    chain = '[{"op": "dilation", "a": 4e-210}, {"op": "chirp", "q": 1.0}]'
+    out = tmp_path / "x"
+    with np.errstate(all="ignore"):
+        assert run([command, "--n", "8", "--chain", chain, "--out", str(out)]) == 3
+    assert "non-finite values" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_tilted_valley_job_reports_zeros_in_unit_square(tmp_path, capsys):
+    out = tmp_path / "report.json"
+    chain = '[{"op": "frft", "r": 0.3}, {"op": "chirp", "q": 0.64}]'
+    assert run(["frame-bounds", "--hermite", "1", "--chain", chain, "--set", "Z2",
+                "--n", "64", "--out", str(out)]) == 0
+    assert capsys.readouterr().out.strip() == "NotFrame"
+    zeros = json.loads(out.read_text())["zeros"]
+    assert len(zeros) == 5
+    assert all(0.0 <= z[k] < 1.0 for z in zeros for k in ("x", "omega"))

@@ -9,8 +9,8 @@ from gaborkit.frames import (GaborSystem, equivalence_transport, find_zak_zeros,
                              reduce_to_multiwindow, report_to_json,
                              theta_zero_certificate)
 from gaborkit.lattices import PRESETS, point_set
-from gaborkit.operators import Chirp, Dilation, FrFT, TFShift
-from gaborkit.windows import window
+from gaborkit.operators import Chirp, Dilation, FrFT, TFShift, project_isomorphism
+from gaborkit.windows import closed_form, evaluate, window
 from gaborkit.zak import zak_point, zak_surface
 
 SQRT2 = math.sqrt(2.0)
@@ -281,3 +281,57 @@ def test_finite_frame_oracle_brackets_grid_bounds():
     scale = report.B_est
     assert abs(report.A_est - lo) <= 0.05 * scale
     assert abs(report.B_est - hi) <= 0.05 * scale
+
+
+def counting_zak_point(monkeypatch):
+    """Count the zak_point calls that frame analysis makes, batched or scalar."""
+    from gaborkit import frames
+    calls = {"batched": 0, "scalar": 0}
+
+    def counted(w, x, omega, trunc=None):
+        calls["batched" if np.ndim(x) else "scalar"] += 1
+        return zak_point(w, x, omega, trunc)
+
+    monkeypatch.setattr(frames, "zak_point", counted)
+    return calls
+
+
+def test_tilted_valley_zeros_found_with_bounded_work(monkeypatch):
+    # h_1 after FrFT(0.3) and Chirp(0.64): an interpolated window whose two
+    # non-rational zeros sit in tilted valleys of the objective
+    chain = (FrFT(0.3), Chirp(0.64))
+    calls = counting_zak_point(monkeypatch)
+    report = frame_bounds(GaborSystem([window(1, chain)], PRESETS["Z2"]), 64)
+    assert report.verdict == "NotFrame"
+    assert calls["batched"] <= 101 and calls["batched"] + calls["scalar"] <= 500
+    # the same function in closed form: undo the chain on the lattice and
+    # reduce back to Z^2, which gives a dilated, chirped h_1 up to a phase
+    U = project_isomorphism(chain)
+    closed = reduce_to_multiwindow(
+        GaborSystem([window(1)], point_set(np.linalg.inv(U)))).windows[0]
+    assert closed_form(closed)
+    ks = np.arange(-40.0, 41.0)
+    for x0, om0 in ((0.389505449, 0.951266236), (0.610494551, 0.048733764)):
+        z = min(report.zeros, key=lambda z: math.hypot(z.x - x0, z.omega - om0))
+        assert math.hypot(z.x - x0, z.omega - om0) <= 1e-8
+        direct = np.sum(evaluate(closed, ks - z.x) * np.exp(2j * np.pi * z.omega * ks))
+        assert abs(direct) <= 1e-10
+    assert all(0.0 <= v < 1.0 for z in report.zeros for v in (z.x, z.omega))
+
+
+def test_denominator_eight_double_oversampling_with_bounded_work(monkeypatch):
+    # h_4 over Z^2 u (Z^2 + (3/8, 1/8)): two positive minima, no zero
+    calls = counting_zak_point(monkeypatch)
+    union = point_set(np.eye(2), [(0.0, 0.0), (0.375, 0.125)])
+    report = frame_bounds(reduce_to_multiwindow(GaborSystem([window(4)], union)), 256)
+    assert calls["batched"] <= 2 * 101 and calls["batched"] + calls["scalar"] <= 150
+    assert report.verdict == "Inconclusive" and not report.zeros
+    assert abs(report.A_est - 7.956578648398731e-3) <= 1e-12 * report.A_est
+
+
+def test_unit_representative():
+    from gaborkit.frames import _unit
+    assert _unit(-1e-17) == 0.0
+    assert _unit(1.0) == 0.0
+    assert _unit(-0.25) == 0.75
+    assert _unit(0.9999999999999825) == 0.9999999999999825

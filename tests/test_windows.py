@@ -135,3 +135,13 @@ def test_descriptor_round_trip():
     assert w2 == w
     t = np.linspace(-2.0, 2.0, 9)
     assert np.max(np.abs(evaluate(w, t) - evaluate(w2, t))) == 0.0
+
+
+@pytest.mark.parametrize("entry, key", [
+    ({"op": "dilation", "a": 2.0, "omgea": 1.0}, "omgea"),
+    ({"op": "fourier", "r": 3.0}, "r"),
+    ({"op": "tfshift", "x": 0.5, "omega": 0.0, "y": 0.0}, "y"),
+])
+def test_parse_descriptor_rejects_unknown_operator_keys(entry, key):
+    with pytest.raises(ValueError, match=f"'{entry['op']}' has no field '{key}'"):
+        parse_descriptor({"hermite": 1, "chain": [entry]})

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from gaborkit import windows
-from gaborkit.errors import PoissonUnavailable
+from gaborkit.errors import PoissonUnavailable, UnboundedWindow
 from gaborkit.frames import GaborSystem, frame_bounds, reduce_to_multiwindow
 from gaborkit.lattices import PRESETS
 from gaborkit.operators import Chirp, Dilation, FrFT, TFShift
@@ -284,3 +284,15 @@ def test_surface_csv_bytes_match_per_element_rule(tmp_path, make):
 def test_zak_point_rejects_non_finite_arguments(x, omega, name):
     with pytest.raises(ValueError, match=f"requires a finite {name}, got"):
         zak_point(window(0), x, omega)
+
+
+def test_non_finite_window_values_raise_unbounded_window():
+    # closed form, but t / a overflows and the chirp makes h_0(inf) = 0 NaN
+    w = window(0, (Dilation(4e-210), Chirp(1.0)))
+    with np.errstate(all="ignore"):
+        with pytest.raises(UnboundedWindow, match="non-finite values"):
+            zak_surface(w, 8)
+        with pytest.raises(UnboundedWindow, match="non-finite values"):
+            zak_point(w, 0.25, 0.5)
+        with pytest.raises(UnboundedWindow, match="non-finite values"):
+            zak_point(w, np.array([0.0, 0.5]), 0.5)

@@ -18,7 +18,7 @@ from .lattices import (PRESETS, PointSet, coset_split, dilation_matrix,
                        rotation, sets_equal, shear, transform, translate)
 from .operators import (Chirp, Dilation, Fourier, FrFT, SampledFunction,
                         TFShift, apply_chain, apply_chirp, apply_dilation,
-                        apply_fourier, apply_frft, apply_op, apply_tf_shift,
+                        apply_fourier, apply_frft, apply_tf_shift,
                         grid_points, matched_phase_residual,
                         project_isomorphism, sample, sinc_interpolate,
                         support_radius)

@@ -80,11 +80,7 @@ def _set_from_args(args):
             shifts = [_parse_pair(s) for s in args.shifts.split(";") if s]
         ps = point_set(gen, shifts)
     else:
-        name = getattr(args, "set", None) or "Z2"
-        if name not in PRESETS:
-            raise ValueError(f"unknown point set preset {name!r}; "
-                             f"choose from {sorted(PRESETS)}")
-        ps = PRESETS[name]
+        ps = PRESETS[args.set or "Z2"]  # --set values are checked choices
     if getattr(args, "extra_shift", None):
         z = np.array(_parse_pair(args.extra_shift))
         shifts = ps.shift_array
@@ -336,32 +332,49 @@ def build_parser():
     return parser
 
 
-def _merge_config(args):
-    if not args.config:
-        return args
+def _config_value(action, key, value):
+    """A config value checked as the flag's command-line value would be."""
+    if action.nargs == 0:  # a store_true flag takes a JSON boolean only
+        if isinstance(value, bool):
+            return value
+    elif isinstance(value, (str, int, float)) and not isinstance(value, bool):
+        try:
+            value = (action.type or str)(str(value))
+        except ValueError:
+            raise ValueError(f"config key {key!r}: invalid value {value!r}") from None
+        if action.choices is None or value in action.choices:
+            return value
+        raise ValueError(f"config key {key!r}: {value!r} is not one of {action.choices}")
+    kind = "true or false" if action.nargs == 0 else "a string or a number"
+    raise ValueError(f"config key {key!r} takes {kind}, got {value!r}")
+
+
+def _merge_config(parser, args):
     with open(args.config, encoding="utf-8") as fh:
         conf = json.load(fh)
     if not isinstance(conf, dict):
         raise ValueError("config file must hold a JSON object")
-    defaults = build_parser().parse_args([args.command])
+    sub = next(a for a in parser._actions
+               if isinstance(a, argparse._SubParsersAction)).choices[args.command]
+    flags = {a.dest: a for a in sub._actions
+             if a.option_strings and a.dest != "help"}
     for key, value in conf.items():
-        attr = key.replace("-", "_")
-        if not hasattr(args, attr):
+        action = flags.get(key.replace("-", "_"))
+        if action is None:
             raise ValueError(f"unknown config key {key!r}")
-        if getattr(args, attr) == getattr(defaults, attr, None):
-            setattr(args, attr, value)
-    return args
+        value = _config_value(action, key, value)
+        # explicit flags win over the config file
+        if getattr(args, action.dest) == action.default:
+            setattr(args, action.dest, value)
 
 
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else argv
-    args = build_parser().parse_args(_attach_pair_values(argv))
+    parser = build_parser()
+    args = parser.parse_args(_attach_pair_values(argv))
     try:
-        args = _merge_config(args)
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return 2
-    try:
+        if args.config:
+            _merge_config(parser, args)
         return args.handler(args)
     except IrreducibleSet as exc:
         print(f"irreducible point set: {exc}", file=sys.stderr)
@@ -369,7 +382,7 @@ def main(argv=None):
     except GaborError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:  # JSONDecodeError is a ValueError
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
 

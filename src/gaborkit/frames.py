@@ -4,9 +4,10 @@ A system over a reducible point set is first rewritten as a multi-window
 system over the integer lattice; the frame bounds are then the extrema of
 the multi-window Zak objective sum_m |Z g_m|^2 on the fundamental domain.
 Candidate grid minima are refined all at once by damped Newton steps whose
-derivatives come from finite differences of batched Zak values, and
-verdicts are gated by certified zeros (not-frame) or a grid-Lipschitz slack
-margin (likely-frame).
+derivatives come from finite differences of batched Zak values, and each
+coordinate is snapped to a small-denominator rational (denominator at most 8,
+within 1e-6) only when the objective there is no larger.  Verdicts are gated
+by certified zeros (not-frame) or a grid-Lipschitz slack margin (likely-frame).
 """
 
 import math
@@ -220,18 +221,25 @@ def _polish(windows, starts, radius, trunc, refine_tol):
     return pts
 
 
-def _snap(objective, x, om, best):
-    # prefer exact small-denominator rationals when they do at least as well
-    def candidates(v):
-        out = [v]
-        for den in range(1, _SNAP_DENOM + 1):
-            r = round(v * den) / den
-            if abs(r - v) < _SNAP_DIST:
-                out.append(r)
-        return out
+def _small_rational(v):
+    """The rational with denominator <= 8 within 1e-6 of v, or None (such
+    rationals are at least 1/56 apart, so at most one is that close)."""
+    for den in range(1, _SNAP_DENOM + 1):
+        r = round(v * den) / den
+        if abs(r - v) < _SNAP_DIST:
+            return r
+    return None
 
-    for xc in candidates(x):
-        for oc in candidates(om):
+
+def _snap_candidates(v):
+    r = _small_rational(v)
+    return (v,) if r is None or r == v else (v, r)
+
+
+def _snap(objective, x, om, best):
+    # move to the nearby small rationals when the objective there is no larger
+    for xc in _snap_candidates(x):
+        for oc in _snap_candidates(om):
             if (xc, oc) == (x, om):
                 continue
             val = objective(xc, oc)
@@ -240,19 +248,12 @@ def _snap(objective, x, om, best):
     return x, om, best
 
 
-def _is_small_rational(v):
-    return any(abs(round(v * den) / den - v) < _SNAP_DIST
-               for den in range(1, _SNAP_DENOM + 1))
-
-
 def _local_minima_mask(F):
-    mask = np.ones_like(F, dtype=bool)
-    for dx in (-1, 0, 1):
-        for dom in (-1, 0, 1):
-            if dx == 0 and dom == 0:
-                continue
-            mask &= F <= np.roll(np.roll(F, dx, axis=0), dom, axis=1)
-    return mask
+    # F at or below the minimum of its 3 x 3 torus neighbourhood, taken as a
+    # minimum over rows and then over columns
+    m = np.minimum(F, np.minimum(np.roll(F, 1, axis=0), np.roll(F, -1, axis=0)))
+    m = np.minimum(m, np.minimum(np.roll(m, 1, axis=1), np.roll(m, -1, axis=1)))
+    return F <= m
 
 
 def _grid_slack(F):
@@ -273,10 +274,9 @@ def _torus_dist(a, b):
 
 def _search_zeros(windows, resolution, trunc, tol, refine_tol=1e-12):
     N = int(resolution)
-    surfaces = [zak_surface(g, N, trunc) for g in windows]
     F = np.zeros((N, N))
-    for s in surfaces:
-        F += np.abs(s.values) ** 2
+    for g in windows:
+        F += np.abs(zak_surface(g, N, trunc).values) ** 2
     A_grid, B_grid = float(F.min()), float(F.max())
     slack = _grid_slack(F)
     amp_slack = _grid_slack(np.sqrt(F))
@@ -314,11 +314,12 @@ def frame_bounds(sys, resolution=64, trunc=None, refine_tol=1e-12):
     that are candidate zeros are polished together by damped Newton steps
     (Levenberg-Marquardt damping, Hessian J^T J plus the residual curvature)
     until an accepted step improves the objective by at most refine_tol
-    relatively, the objective drops below 1e-30, or the damping runs out.  The
-    verdict is NotFrame only with a certified zero (residual <= 1e-10 at a
-    small-denominator rational point), LikelyFrame only when the grid
-    minimum clears ten times the grid-Lipschitz slack, and Inconclusive
-    otherwise.
+    relatively, the objective drops below 1e-30, or the damping runs out, and
+    snapped to small-denominator rationals (denominator at most 8, within
+    1e-6) only where the objective is no larger.  The verdict is NotFrame
+    only with a certified zero (residual <= 1e-10 at such a rational point),
+    LikelyFrame only when the grid minimum clears ten times the
+    grid-Lipschitz slack, and Inconclusive otherwise.
     """
     _require_integer_lattice(sys)
     A_est, B_grid, slack, zeros = _search_zeros(
@@ -326,7 +327,7 @@ def frame_bounds(sys, resolution=64, trunc=None, refine_tol=1e-12):
         refine_tol=refine_tol)
     certified = [z for z in zeros
                  if z.residual <= _CERTIFIED_RESIDUAL
-                 and _is_small_rational(z.x) and _is_small_rational(z.omega)]
+                 and None not in (_small_rational(z.x), _small_rational(z.omega))]
     if certified:
         verdict = NOT_FRAME
     elif A_est > _SLACK_FACTOR * slack:

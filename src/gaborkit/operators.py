@@ -342,7 +342,7 @@ class Dilation(Op):
     def matrix(self):
         return dilation_matrix(self.a)
 
-    def apply(self, f, frft_method="quadrature"):
+    def apply(self, f):
         return apply_dilation(self.a, f)
 
     def at(self, g, t):
@@ -373,7 +373,7 @@ class Chirp(Op):
     def matrix(self):
         return shear(self.q)
 
-    def apply(self, f, frft_method="quadrature"):
+    def apply(self, f):
         return apply_chirp(self.q, f)
 
     def at(self, g, t):
@@ -396,8 +396,8 @@ class FrFT(Op):
     def matrix(self):
         return rotation(self.r)
 
-    def apply(self, f, frft_method="quadrature"):
-        return apply_frft(self.r, f, method=frft_method)
+    def apply(self, f):
+        return apply_frft(self.r, f)
 
     def is_identity(self):
         rm = self.r % math.tau
@@ -422,7 +422,7 @@ class TFShift(Op):
     def matrix(self):
         return np.eye(2)
 
-    def apply(self, f, frft_method="quadrature"):
+    def apply(self, f):
         return apply_tf_shift((self.x, self.omega), f)
 
     def at(self, g, t):
@@ -454,22 +454,17 @@ class Fourier(Op):
     def matrix(self):
         return np.array([[0.0, 1.0], [-1.0, 0.0]])
 
-    def apply(self, f, frft_method="quadrature"):
+    def apply(self, f):
         return apply_fourier(f)
 
     def hermite_eigenvalue(self, n):
         return (-1j) ** n
 
 
-def apply_op(op, f, frft_method="quadrature"):
-    """Apply a single operator to a sampled function."""
-    return op.apply(f, frft_method)
-
-
-def apply_chain(ops, f, frft_method="quadrature"):
+def apply_chain(ops, f):
     """Apply an operator chain (rightmost entry acts first)."""
     for op in reversed(tuple(ops)):
-        f = op.apply(f, frft_method)
+        f = op.apply(f)
     return f
 
 

@@ -103,15 +103,14 @@ def zak_surface(w, resolution, trunc=None):
     if N < 8:
         raise ValueError(f"surface resolution must be at least 8, got {resolution!r}")
     K = int(trunc) if trunc is not None else auto_truncation(w)
-    env = envelope(w)
-    center = env.center
+    center = envelope(w).center
     k_lo, k_hi = math.floor(center) - K, math.ceil(center) + 1 + K
     ks = np.arange(k_lo, k_hi + 1, dtype=float)
     xs = np.arange(N, dtype=float) / N
     vals = _finite(evaluate(w, ks[None, :] - xs[:, None]))  # N x nk
     phases = np.exp(2j * np.pi * np.outer(ks, np.arange(N) / N))  # nk x N
     return ZakSurface(values=vals @ phases, window_desc=w, resolution=N,
-                      truncation=K, tail_bound=env.tail(K - 1) + env.floor)
+                      truncation=K, tail_bound=zak_tail_bound(w, K))
 
 
 def zak_scaled(a, w, x, omega, trunc=None):

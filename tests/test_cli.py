@@ -191,6 +191,26 @@ def test_bad_config_exit_code(tmp_path):
     assert run(["--config", str(conf), "zak-surface"]) == 2
 
 
+@pytest.mark.parametrize("command, conf", [
+    ("frame-bounds", {"n": None}),
+    ("frame-bounds", {"hermite": [2]}),
+    ("frame-bounds", {"handler": "x"}),
+    ("verify", {"suite": "bogus"}),
+])
+def test_bad_config_value_exit_code(tmp_path, capsys, command, conf):
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps(conf))
+    assert run(["--config", str(path), command,
+                "--out", str(tmp_path / "out.json")]) == 2
+    assert "configuration error" in capsys.readouterr().err
+
+
+def test_unwritable_output_exit_code(tmp_path, capsys):
+    out = tmp_path / "missing" / "zeros.json"
+    assert run(["find-zeros", "--n", "32", "--out", str(out)]) == 2
+    assert "configuration error" in capsys.readouterr().err
+
+
 def test_unknown_preset_exit_code():
     assert run(["frame-bounds", "--hermite", "0", "--set", "Z2",
                 "--extra-shift", "bogus"]) == 2

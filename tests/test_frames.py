@@ -329,6 +329,60 @@ def test_denominator_eight_double_oversampling_with_bounded_work(monkeypatch):
     assert abs(report.A_est - 7.956578648398731e-3) <= 1e-12 * report.A_est
 
 
+def eight_neighbour_minima(F):
+    mask = np.ones_like(F, dtype=bool)
+    for dx in (-1, 0, 1):
+        for dom in (-1, 0, 1):
+            if dx or dom:
+                mask &= F <= np.roll(np.roll(F, dx, axis=0), dom, axis=1)
+    return mask
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 5, 8, 33])
+def test_local_minima_mask_matches_eight_neighbour_reference(N):
+    from gaborkit.frames import _local_minima_mask
+    rng = np.random.default_rng(N)
+    plateau = np.ones((N, N))
+    plateau[N // 2:, : N // 2 + 1] = 0.5  # a flat valley with a flat rim
+    grids = [rng.random((N, N)),
+             rng.integers(0, 3, (N, N)).astype(float),  # many ties
+             np.full((N, N), 2.0), plateau]
+    for F in grids:
+        assert np.array_equal(_local_minima_mask(F), eight_neighbour_minima(F))
+
+
+def test_small_rational_rule():
+    from gaborkit.frames import _small_rational
+    assert _small_rational(0.5 + 5e-7) == 0.5
+    assert _small_rational(2.0 / 6.0 + 1e-9) == 1.0 / 3.0
+    assert _small_rational(0.875 - 9e-7) == 0.875
+    assert _small_rational(1.0 / 9.0) is None
+    assert _small_rational(0.5 + 2e-6) is None
+
+
+def test_snap_evaluates_each_point_once(monkeypatch):
+    # three polished candidates near parity zeros of an interpolated h_1;
+    # each costs one residual evaluation and at most three snap candidates
+    from gaborkit import frames
+    from gaborkit.frames import _torus_dist
+    calls = counting_zak_point(monkeypatch)
+    starts = []
+    polish = frames._polish
+
+    def counted_polish(windows, pts, *rest):
+        starts.append(len(pts))
+        return polish(windows, pts, *rest)
+
+    monkeypatch.setattr(frames, "_polish", counted_polish)
+    zeros = find_zak_zeros(window(1, (FrFT(0.8), Chirp(0.7))), 32)
+    assert sum(starts) >= 3 and calls["scalar"] <= 4 * sum(starts)
+    # the three parity zeros of the odd window
+    assert len(zeros) == 3
+    for x0, om0 in ((0.0, 0.0), (0.5, 0.0), (0.0, 0.5)):
+        assert any(max(_torus_dist(z.x, x0), _torus_dist(z.omega, om0)) <= 1e-12
+                   and z.residual <= 1e-13 for z in zeros)
+
+
 def test_unit_representative():
     from gaborkit.frames import _unit
     assert _unit(-1e-17) == 0.0

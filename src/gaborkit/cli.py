@@ -349,7 +349,12 @@ def _config_value(action, key, value):
     raise ValueError(f"config key {key!r} takes {kind}, got {value!r}")
 
 
-def _merge_config(parser, args):
+def _merge_config(parser, args, argv):
+    """Parse argv again with the config file's values as the subcommand's defaults.
+
+    So a flag given on the command line wins, even when its value equals
+    the flag's own default.
+    """
     with open(args.config, encoding="utf-8") as fh:
         conf = json.load(fh)
     if not isinstance(conf, dict):
@@ -358,23 +363,23 @@ def _merge_config(parser, args):
                if isinstance(a, argparse._SubParsersAction)).choices[args.command]
     flags = {a.dest: a for a in sub._actions
              if a.option_strings and a.dest != "help"}
+    defaults = {}
     for key, value in conf.items():
         action = flags.get(key.replace("-", "_"))
         if action is None:
             raise ValueError(f"unknown config key {key!r}")
-        value = _config_value(action, key, value)
-        # explicit flags win over the config file
-        if getattr(args, action.dest) == action.default:
-            setattr(args, action.dest, value)
+        defaults[action.dest] = _config_value(action, key, value)
+    sub.set_defaults(**defaults)
+    return parser.parse_args(argv)
 
 
 def main(argv=None):
-    argv = sys.argv[1:] if argv is None else argv
+    argv = _attach_pair_values(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
-    args = parser.parse_args(_attach_pair_values(argv))
+    args = parser.parse_args(argv)
     try:
         if args.config:
-            _merge_config(parser, args)
+            args = _merge_config(parser, args, argv)
         return args.handler(args)
     except IrreducibleSet as exc:
         print(f"irreducible point set: {exc}", file=sys.stderr)

@@ -10,6 +10,7 @@ handled by the lattice module).
 import cmath
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -85,7 +86,9 @@ def sinc_interpolate(f, where):
 
     Exact for functions band-limited below the grid Nyquist rate; our
     Gaussian-decay windows are band-limited to machine precision.  Cost is
-    one full sinc kernel row per point; prefer :func:`resample` in bulk.
+    one full sinc kernel row per point; prefer :func:`resample` in bulk,
+    which upsamples once and applies a 12-point stencil per point
+    (:func:`apply_dilation` also caches that stencil per factor and grid).
     """
     where = np.asarray(where, dtype=float)
     flat = np.atleast_1d(where).ravel()
@@ -95,7 +98,7 @@ def sinc_interpolate(f, where):
         block = flat[i0:i0 + _CHUNK]
         ker = np.sinc((block[:, None] - pts[None, :]) / f.step)
         out[i0:i0 + _CHUNK] = ker @ f.values
-    out = out.reshape(np.atleast_1d(where).shape)
+    out = out.reshape(where.shape)
     return out if where.ndim else complex(out[()])
 
 
@@ -121,6 +124,31 @@ def upsample(values, factor=UPSAMPLE):
     return np.fft.ifft(padded) * factor
 
 
+def _stencil(where, fine_step, extent, fine_size):
+    # the grid-only half of local_interpolate: fine-grid indices, barycentric
+    # terms and their row sums, the fine index of each row that hits a node,
+    # and the points outside the grid
+    pos = (where + extent) / fine_step
+    i0 = np.clip(np.floor(pos).astype(int) - (STENCIL // 2 - 1),
+                 0, fine_size - STENCIL)
+    offsets = np.arange(STENCIL)
+    idx = i0[:, None] + offsets[None, :]
+    rel = pos[:, None] - idx
+    exact = np.abs(rel) < 1e-9
+    terms = _BARY_WEIGHTS[None, :] / np.where(exact, 1.0, rel)
+    return idx, terms, np.sum(terms, axis=1), np.any(exact, axis=1), \
+        idx[exact], np.abs(where) > extent
+
+
+def _apply_stencil(stencil, fine):
+    idx, terms, row_sums, hit_rows, hit_idx, outside = stencil
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = np.sum(terms * fine[idx], axis=1) / row_sums
+    out[hit_rows] = fine[hit_idx]
+    out[outside] = 0.0
+    return out
+
+
 def local_interpolate(fine, fine_step, extent, where):
     """Barycentric Lagrange interpolation on an oversampled grid.
 
@@ -130,21 +158,8 @@ def local_interpolate(fine, fine_step, extent, where):
     """
     where = np.asarray(where, dtype=float)
     flat = np.atleast_1d(where).ravel()
-    pos = (flat + extent) / fine_step
-    i0 = np.clip(np.floor(pos).astype(int) - (STENCIL // 2 - 1),
-                 0, fine.size - STENCIL)
-    offsets = np.arange(STENCIL)
-    rel = pos[:, None] - i0[:, None] - offsets[None, :]
-    vals = fine[i0[:, None] + offsets[None, :]]
-    exact = np.abs(rel) < 1e-9
-    terms = _BARY_WEIGHTS[None, :] / np.where(exact, 1.0, rel)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = np.sum(terms * vals, axis=1) / np.sum(terms, axis=1)
-    hit_rows = np.any(exact, axis=1)
-    if np.any(hit_rows):
-        out[hit_rows] = vals[exact]
-    out[np.abs(flat) > extent] = 0.0
-    out = out.reshape(np.atleast_1d(where).shape)
+    out = _apply_stencil(_stencil(flat, fine_step, extent, fine.size), fine)
+    out = out.reshape(where.shape)
     return out if where.ndim else complex(out[()])
 
 
@@ -181,6 +196,20 @@ def apply_tf_shift(z, f):
     return SampledFunction(vals, f.step, f.extent)
 
 
+def _read_only(arrays):
+    # cached kernels are shared between calls
+    for arr in arrays:
+        arr.flags.writeable = False
+    return arrays
+
+
+@lru_cache(maxsize=4)
+def _dilation_stencil(a, n, step, extent):
+    # the stencil of the points t_k / a on the fine grid of an n-point grid
+    return _read_only(_stencil(grid_points(extent, step) / a, step / UPSAMPLE,
+                               extent, n * UPSAMPLE))
+
+
 def apply_dilation(a, f):
     """Apply the unitary dilation f(t) -> a^(-1/2) f(t/a)."""
     if not a > 0:
@@ -188,7 +217,8 @@ def apply_dilation(a, f):
     a = float(a)
     if a == 1.0:
         return SampledFunction(f.values.copy(), f.step, f.extent)
-    vals = resample(f, f.points / a) / math.sqrt(a)
+    stencil = _dilation_stencil(a, f.values.size, f.step, f.extent)
+    vals = _apply_stencil(stencil, upsample(f.values)) / math.sqrt(a)
     return SampledFunction(vals, f.step, f.extent)
 
 
@@ -206,11 +236,37 @@ def _reflect(f):
     return SampledFunction(vals, f.step, f.extent)
 
 
+@lru_cache(maxsize=2)
+def _frft_kernel(r, n, step, extent, refine):
+    # everything of the quadrature that depends only on the angle and the
+    # (refined) grid: the input factors (chirp exp(i pi cot t^2) times ramp),
+    # the FFT of the convolution chirp, and the output factors at the kept
+    # samples
+    cot = math.cos(r) / math.sin(r)
+    csc = 1.0 / math.sin(r)
+    pts = -extent + step * np.arange(n)
+    pre = np.exp(1j * np.pi * cot * pts * pts)
+    idx = np.arange(n, dtype=float)
+    ch2 = csc * step * step
+    edge = 2.0 * np.pi * csc * extent * step
+    ramp = np.exp(1j * (edge * idx - np.pi * ch2 * idx * idx))
+    u = np.arange(-(n - 1), n, dtype=float)
+    chirp_hat = np.fft.fft(np.exp(1j * np.pi * ch2 * u * u), 2 * n)
+    amp = np.sqrt(1.0 - 1j * cot)  # principal branch matches F_{pi/2} = F
+    out_ramp = (np.exp(-2j * np.pi * csc * extent * extent) * ramp)[::refine]
+    post = (amp * step * pre)[::refine]
+    return _read_only((pre * ramp, chirp_hat, out_ramp, post))
+
+
 def _frft_quadrature(r, f):
     # composite-rule quadrature of the chirp kernel; the oscillatory sum
     # sum_k g_k exp(-2 pi i csc s_j t_k) is evaluated through the chirp
     # convolution identity 2 s t = s^2 + t^2 - (s - t)^2, which is the same
-    # sum computed with FFTs
+    # sum computed with FFTs.  The linear convolution of the n samples with
+    # the 2n - 1 chirp values is needed only at n - 1 .. 2n - 2, which a
+    # circular convolution of length 2n computes without aliasing.  The
+    # grid-only factors are cached for the last two keys, so a suite that
+    # applies one angle to many rows builds them once.
     cot = math.cos(r) / math.sin(r)
     csc = 1.0 / math.sin(r)
     if np.abs(f.values).max() == 0.0:
@@ -219,27 +275,14 @@ def _frft_quadrature(r, f):
     # (local frequency cot*t - csc*s over the effective support)
     fmax = abs(cot) * support_radius(f, rel=1e-16) + abs(csc) * f.extent
     refine = max(1, int(math.ceil(2.0 * fmax * f.step)))
-    if refine > 1:
-        values = upsample(f.values, refine)
-        step = f.step / refine
-    else:
-        values, step = f.values, f.step
-    pts = -f.extent + step * np.arange(values.size)
-    inner = values * np.exp(1j * np.pi * cot * pts * pts)
-    n = pts.size
-    idx = np.arange(n, dtype=float)
-    ch2 = csc * step * step
-    edge = 2.0 * np.pi * csc * f.extent * step
-    ramp = np.exp(1j * (edge * idx - np.pi * ch2 * idx * idx))
-    u = np.arange(-(n - 1), n, dtype=float)
-    chirp = np.exp(1j * np.pi * ch2 * u * u)
-    m = 1 << int(np.ceil(np.log2(3 * n - 2)))
-    conv = np.fft.ifft(np.fft.fft(inner * ramp, m) * np.fft.fft(chirp, m))
-    out = np.exp(-2j * np.pi * csc * f.extent * f.extent) * ramp \
-        * conv[n - 1:2 * n - 1]
-    amp = np.sqrt(1.0 - 1j * cot)  # principal branch matches F_{pi/2} = F
-    out *= amp * step * np.exp(1j * np.pi * cot * pts * pts)
-    return SampledFunction(out[::refine], f.step, f.extent)
+    values = upsample(f.values, refine) if refine > 1 else f.values
+    n = values.size
+    pre, chirp_hat, out_ramp, post = _frft_kernel(
+        r, n, f.step / refine, f.extent, refine)
+    conv = np.fft.ifft(np.fft.fft(values * pre, 2 * n) * chirp_hat)
+    out = out_ramp * conv[n - 1:2 * n - 1:refine]
+    out *= post
+    return SampledFunction(out, f.step, f.extent)
 
 
 def _frft_hermite(r, f, n_coeffs):

@@ -183,6 +183,25 @@ def test_config_file_merging(tmp_path):
     assert len(read_rows(out2)) == 256
 
 
+def test_explicit_flag_at_its_default_wins_over_config(tmp_path):
+    conf = tmp_path / "job.json"
+    conf.write_text(json.dumps({"n": 16, "hermite": 1}))
+    out = tmp_path / "flag_wins.csv"
+    # 64 is --n's own default, but given on the command line it still wins
+    assert run(["--config", str(conf), "zak-surface", "--n", "64",
+                "--out", str(out)]) == 0
+    assert len(read_rows(out)) == 4096
+    # the config still fills the flag that was not given
+    direct = tmp_path / "direct.csv"
+    assert run(["zak-surface", "--hermite", "1", "--n", "64",
+                "--out", str(direct)]) == 0
+    assert out.read_bytes() == direct.read_bytes()
+    # a bad config value is an error even when an explicit flag would override it
+    conf.write_text(json.dumps({"n": "sixteen"}))
+    assert run(["--config", str(conf), "zak-surface", "--n", "64",
+                "--out", str(out)]) == 2
+
+
 def test_bad_config_exit_code(tmp_path):
     conf = tmp_path / "broken.json"
     conf.write_text("{not json")

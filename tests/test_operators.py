@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from gaborkit import operators
 from gaborkit.errors import ShiftExceedsGrid, SingularAngle, TruncationTooCoarse
 from gaborkit.operators import (Chirp, Dilation, Fourier, FrFT, TFShift,
                                 apply_chain, apply_chirp, apply_dilation,
@@ -100,6 +101,48 @@ def test_frft_eigenfunction_property(method, r):
         assert defect < 1e-8
 
 
+@pytest.mark.parametrize("r", [0.05, 0.31, 0.6, math.pi / 2.0, 2.7])
+def test_frft_quadrature_hermite_eigenvalues_pinned(r):
+    # r = 0.05 refines the quadrature grid (refine > 1)
+    for n in range(8):
+        f = realize(window(n))
+        g = apply_frft(r, f)
+        assert np.max(np.abs(g.values - np.exp(-1j * n * r) * f.values)) <= 1e-10
+
+
+@pytest.mark.parametrize("a", [0.77, 0.8, 1.3])
+def test_dilation_of_shifted_hermite_matches_closed_form(a):
+    for n in (0, 1, 3):
+        for x, omega in ((0.0, 0.0), (0.4, -0.7), (-1.1, 0.9)):
+            f = realize(window(n, (TFShift(x, omega),)))
+            expected = evaluate(window(n, (Dilation(a), TFShift(x, omega))), f.points)
+            assert np.max(np.abs(apply_dilation(a, f).values - expected)) <= 1e-13
+
+
+def test_operator_kernel_caches_keep_every_key_apart():
+    # interleaved calls that hit, miss and evict the cached grid kernels
+    # must give the bits of the same call made with empty caches
+    f = realize(window(1, (TFShift(0.3, -0.2),)))
+    coarse = realize(window(2), step=1.0 / 64.0)
+    narrow = realize(window(0, (TFShift(-0.5, 0.4),)), extent=6.0, step=1.0 / 256.0)
+    calls = [
+        lambda: apply_dilation(1.3, f), lambda: apply_frft(0.6, f),
+        lambda: apply_dilation(0.8, f), lambda: apply_frft(0.9, f),
+        lambda: apply_frft(0.05, f),  # refine > 1
+        # refined to step 1/128, so only refine tells this key from the next
+        lambda: apply_frft(0.3, coarse), lambda: apply_frft(0.3, f),
+        lambda: apply_dilation(1.3, coarse),
+        lambda: apply_frft(0.6, narrow), lambda: apply_dilation(1.3, narrow),
+        lambda: apply_chain((Fourier(),), f), lambda: apply_frft(0.9, f),
+        lambda: apply_dilation(0.8, f), lambda: apply_frft(0.05, narrow),
+    ]
+    interleaved = [call().values for call in calls + calls]
+    for i, call in enumerate(calls + calls):
+        operators._dilation_stencil.cache_clear()
+        operators._frft_kernel.cache_clear()
+        assert np.array_equal(call().values, interleaved[i])
+
+
 def test_frft_semigroup():
     f = realize(window(1))
     f = f.__class__(f.values + realize(window(2)).values, f.step, f.extent)
@@ -194,6 +237,15 @@ def test_resample_matches_sinc():
     rng = np.random.RandomState(33)
     where = rng.uniform(-9.0, 9.0, 500)
     assert np.max(np.abs(resample(f, where) - sinc_interpolate(f, where))) < 1e-12
+
+
+def test_interpolators_take_a_scalar_point():
+    f = realize(window(3))
+    for interp in (resample, sinc_interpolate):
+        value = interp(f, 0.3)
+        assert isinstance(value, complex)
+        assert value == interp(f, np.array([0.3]))[0]
+    assert resample(f, 12.5) == 0.0
 
 
 def test_support_radius():

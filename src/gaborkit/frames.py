@@ -3,11 +3,11 @@
 A system over a reducible point set is first rewritten as a multi-window
 system over the integer lattice; the frame bounds are then the extrema of
 the multi-window Zak objective sum_m |Z g_m|^2 on the fundamental domain.
-Candidate grid minima are refined all at once by damped Newton steps whose
-derivatives come from finite differences of batched Zak values, and each
-coordinate is snapped to a small-denominator rational (denominator at most 8,
-within 1e-6) only when the objective there is no larger.  Verdicts are gated
-by certified zeros (not-frame) or a grid-Lipschitz slack margin (likely-frame).
+Candidate grid minima are refined together by damped Newton steps on batched
+Zak values (to a relative gain of 1e-12); one batched evaluation then snaps
+each coordinate to a rational of denominator at most 8 within 1e-6 where
+the objective is no larger, and gives the residual.  Verdicts are gated by
+certified zeros (not-frame) or a grid-Lipschitz slack margin (likely-frame).
 """
 
 import math
@@ -132,13 +132,6 @@ def _require_integer_lattice(sys):
             "apply reduce_to_multiwindow first")
 
 
-def _objective(windows, trunc):
-    def fn(x, omega):
-        return float(math.fsum(
-            abs(zak_point(g, x, omega, trunc)) ** 2 for g in windows))
-    return fn
-
-
 # stencil of the local model: the point, +-h in each coordinate for first
 # differences, and +-h2 with the four corners for second differences
 _H1, _H2 = 1e-7, 1e-4
@@ -147,6 +140,7 @@ _STENCIL = np.array([(0.0, 0.0), (_H1, 0.0), (-_H1, 0.0), (0.0, _H1), (0.0, -_H1
                      (_H2, _H2), (_H2, -_H2), (-_H2, _H2), (-_H2, -_H2)])
 _ZERO_OBJECTIVE = 1e-30
 _LAMBDA_START, _LAMBDA_MAX = 1e-3, 1e12
+_REFINE_TOL = 1e-12
 _MAX_ITERATIONS = 100
 
 
@@ -189,12 +183,12 @@ def _damped_step(grad, hess, lam, radius):
     return step * np.minimum(1.0, radius / np.maximum(length, 1e-300))[:, None]
 
 
-def _polish(windows, starts, radius, trunc, refine_tol):
+def _polish(windows, starts, radius, trunc):
     """Refine all candidate points at once by damped (Levenberg-Marquardt)
     Newton steps on F; returns the refined points.
 
     A candidate stops when F < 1e-30 (so exact zeros are never moved), when
-    an accepted step improves F by at most refine_tol relatively, or when
+    an accepted step improves F by at most 1e-12 relatively, or when
     its damping exceeds 1e12.  Every trial point is evaluated on its own
     stencil, so an accepted step already carries its derivatives.
     """
@@ -211,7 +205,7 @@ def _polish(windows, starts, radius, trunc, refine_tol):
         better = Ft < F[idx]
         acc, rej = idx[better], idx[~better]
         converged = (Ft[better] < _ZERO_OBJECTIVE) \
-            | (F[acc] - Ft[better] <= refine_tol * F[acc])
+            | (F[acc] - Ft[better] <= _REFINE_TOL * F[acc])
         pts[acc], F[acc] = trial[better], Ft[better]
         grad[acc], hess[acc] = grad_t[better], hess_t[better]
         lam[acc] /= 10.0
@@ -231,21 +225,24 @@ def _small_rational(v):
     return None
 
 
-def _snap_candidates(v):
-    r = _small_rational(v)
-    return (v,) if r is None or r == v else (v, r)
-
-
-def _snap(objective, x, om, best):
-    # move to the nearby small rationals when the objective there is no larger
-    for xc in _snap_candidates(x):
-        for oc in _snap_candidates(om):
-            if (xc, oc) == (x, om):
-                continue
-            val = objective(xc, oc)
-            if val <= max(best, 1e-300):
-                x, om, best = xc, oc, val
-    return x, om, best
+def _snap(windows, pts, trunc):
+    """Zeros at the points pts (n x 2) taken into [0, 1)^2, each moved to the
+    last of (x, r(om)), (r(x), om), (r(x), r(om)) where F is no larger (r(v)
+    the small rational near v, or v), with residual sqrt(F) there; one
+    batched zak_point call per window evaluates all four points of each."""
+    variants = []
+    for x, om in pts.tolist():
+        x, om = _unit(x), _unit(om)
+        rx, rom = _small_rational(x), _small_rational(om)
+        rx, rom = x if rx is None else rx, om if rom is None else rom
+        variants.append([(x, om), (x, rom), (rx, om), (rx, rom)])
+    V = np.array(variants)
+    F = sum(np.abs(zak_point(g, V[..., 0], V[..., 1], trunc)) ** 2 for g in windows)
+    # values below 1e-300 count as equal, and a tie goes to the later variant
+    pick = 3 - np.argmin(np.maximum(F, 1e-300)[:, ::-1], axis=1)
+    rows = np.arange(len(V))
+    return [Zero(_unit(x), _unit(om), math.sqrt(f)) for (x, om), f
+            in zip(V[rows, pick].tolist(), F[rows, pick].tolist())]
 
 
 def _local_minima_mask(F):
@@ -272,7 +269,7 @@ def _torus_dist(a, b):
     return min(d, 1.0 - d)
 
 
-def _search_zeros(windows, resolution, trunc, tol, refine_tol=1e-12):
+def _search_zeros(windows, resolution, trunc, tol):
     N = int(resolution)
     F = np.zeros((N, N))
     for g in windows:
@@ -284,14 +281,8 @@ def _search_zeros(windows, resolution, trunc, tol, refine_tol=1e-12):
     # amplitude within one grid cell (the global minimum always qualifies)
     threshold = max(3.0 * A_grid, (4.0 * amp_slack) ** 2, 1e-24)
     cand = np.argwhere(_local_minima_mask(F) & (F <= threshold))
-    objective = _objective(windows, trunc)
-    polished = []
-    for x, om in _polish(windows, cand / N, 1.2 / N, trunc, refine_tol).tolist():
-        # the reported residual is the scalar objective, which _snap compares
-        x, om = _unit(x), _unit(om)
-        x, om, val = _snap(objective, x, om, objective(x, om))
-        polished.append(Zero(_unit(x), _unit(om), math.sqrt(max(val, 0.0))))
-    polished.sort(key=lambda z: z.residual)
+    polished = sorted(_snap(windows, _polish(windows, cand / N, 1.2 / N, trunc), trunc),
+                      key=lambda z: z.residual)
     A_refined = min([A_grid] + [z.residual ** 2 for z in polished])
     # a polished candidate counts as a zero only if its residual is far
     # below the surface variation scale (shallow local minima are not zeros)
@@ -307,24 +298,23 @@ def _search_zeros(windows, resolution, trunc, tol, refine_tol=1e-12):
     return A_refined, B_grid, slack, zeros
 
 
-def frame_bounds(sys, resolution=64, trunc=None, refine_tol=1e-12):
+def frame_bounds(sys, resolution=64, trunc=None):
     """Estimate frame bounds and locate zeros of the multi-window Zak objective.
 
     The objective sum_m |Z g_m|^2 is evaluated on an N x N grid; grid nodes
     that are candidate zeros are polished together by damped Newton steps
     (Levenberg-Marquardt damping, Hessian J^T J plus the residual curvature)
-    until an accepted step improves the objective by at most refine_tol
-    relatively, the objective drops below 1e-30, or the damping runs out, and
-    snapped to small-denominator rationals (denominator at most 8, within
-    1e-6) only where the objective is no larger.  The verdict is NotFrame
-    only with a certified zero (residual <= 1e-10 at such a rational point),
-    LikelyFrame only when the grid minimum clears ten times the
-    grid-Lipschitz slack, and Inconclusive otherwise.
+    until a step gains at most 1e-12 relatively (the fixed refinement_tol),
+    the objective drops below 1e-30, or the damping runs out.  One batched
+    evaluation snaps them to small-denominator rationals (denominator at most
+    8, within 1e-6) where the objective is no larger and gives each residual.
+    The verdict is NotFrame only with a certified zero (residual <= 1e-10 at
+    such a rational point), LikelyFrame only when the grid minimum clears
+    ten times the grid-Lipschitz slack, and Inconclusive otherwise.
     """
     _require_integer_lattice(sys)
     A_est, B_grid, slack, zeros = _search_zeros(
-        sys.windows, resolution, trunc, tol=_CERTIFIED_RESIDUAL,
-        refine_tol=refine_tol)
+        sys.windows, resolution, trunc, tol=_CERTIFIED_RESIDUAL)
     certified = [z for z in zeros
                  if z.residual <= _CERTIFIED_RESIDUAL
                  and None not in (_small_rational(z.x), _small_rational(z.omega))]
@@ -335,7 +325,7 @@ def frame_bounds(sys, resolution=64, trunc=None, refine_tol=1e-12):
     else:
         verdict = INCONCLUSIVE
     return FrameReport(A_est=A_est, B_est=B_grid, zeros=zeros, verdict=verdict,
-                       resolution=int(resolution), refinement_tol=refine_tol)
+                       resolution=int(resolution), refinement_tol=_REFINE_TOL)
 
 
 def find_zak_zeros(w, resolution=64, tol=1e-10, trunc=None):
@@ -347,6 +337,8 @@ def find_zak_zeros(w, resolution=64, tol=1e-10, trunc=None):
     """
     if resolution < 32:
         raise ValueError(f"zero search needs resolution >= 32, got {resolution!r}")
+    if not math.isfinite(tol):
+        raise ValueError(f"zero search needs a finite tol, got {tol!r}")
     _, _, _, zeros = _search_zeros([w], resolution, trunc, tol)
     return sorted(zeros, key=lambda z: (z.x, z.omega))
 

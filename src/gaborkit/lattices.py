@@ -58,17 +58,27 @@ def point_set(generator, shifts=((0.0, 0.0),)):
 
     Shifts are reduced to the fundamental domain of the generator,
     deduplicated within 1e-9 (in generator coordinates), and ordered
-    lexicographically.
+    lexicographically.  A non-finite generator entry or shift raises
+    :class:`ValueError`.
     """
     gen = np.asarray(generator, dtype=float)
     if gen.shape != (2, 2):
         raise ValueError(f"generator must be 2x2, got shape {gen.shape}")
+    shifts = np.atleast_2d(np.asarray(shifts, dtype=float))
+    if not np.isfinite(gen).all():
+        i, j = np.argwhere(~np.isfinite(gen))[0]
+        raise ValueError(f"point set generator entry ({i}, {j}) must be finite, "
+                         f"got {gen[i, j]}")
+    finite = np.isfinite(shifts).all(axis=1)
+    if not finite.all():
+        raise ValueError(f"point set shift {tuple(shifts[~finite][0].tolist())} "
+                         "must be finite")
     det = float(np.linalg.det(gen))
     if abs(det) < 1e-12:
         raise SingularMatrix("point set generator is singular")
     inv = np.linalg.inv(gen)
     reduced = []
-    for s in np.atleast_2d(np.asarray(shifts, dtype=float)):
+    for s in shifts:
         coords = inv @ s
         frac = coords - np.floor(coords + _MEMBER_TOL)
         frac[np.abs(frac) < _MEMBER_TOL] = 0.0

@@ -314,11 +314,14 @@ def apply_frft(r, f, method="quadrature", n_coeffs=64):
         exact multiples dispatch to identity/reflection).  "hermite" expands
         f in n_coeffs Hermite functions and applies the eigenvalues; it is
         valid at every angle but raises :class:`TruncationTooCoarse` when
-        the expansion does not resolve f.
+        the expansion does not resolve f.  A non-finite r raises
+        :class:`ValueError` for both methods.
     n_coeffs : int
         Length of the Hermite expansion for method="hermite".
     """
     r = float(r)
+    if not math.isfinite(r):
+        raise ValueError(f"frft requires a finite r, got {r!r}")
     if method == "hermite":
         return _frft_hermite(r, f, n_coeffs)
     if method != "quadrature":

@@ -85,9 +85,9 @@ def evaluate(w, t):
 
 
 @lru_cache(maxsize=32)
-def _fine_realization(w, extent=DEFAULT_EXTENT, step=DEFAULT_STEP):
-    f = realize(w, extent, step)
-    return upsample(f.values), step / UPSAMPLE
+def _fine_realization(w):
+    # realize(w) exactly as _numeric_envelope calls it, to share its cache entry
+    return upsample(realize(w).values), DEFAULT_STEP / UPSAMPLE
 
 
 @lru_cache(maxsize=64)

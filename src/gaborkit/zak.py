@@ -36,6 +36,16 @@ def auto_truncation(w, scale=1.0):
     return TRUNC_MAX
 
 
+def _truncation(w, trunc, *scale):
+    # trunc, or the certified default; auto_truncation(w) and
+    # auto_truncation(w, 1.0) are distinct cache keys, so scale is passed on
+    # only when given
+    K = int(trunc) if trunc is not None else auto_truncation(w, *scale)
+    if K < 1:
+        raise ValueError(f"truncation must be at least 1, got {trunc!r}")
+    return K
+
+
 def zak_tail_bound(w, trunc, scale=1.0):
     """Certified bound on the dropped series tail for truncation trunc.
 
@@ -67,9 +77,7 @@ def zak_point(w, x, omega, trunc=None):
                              f"got {float(arr[~np.isfinite(arr)][0])!r}")
     scalar = x_arr.ndim == 0 and om_arr.ndim == 0
     x_b, om_b = np.broadcast_arrays(np.atleast_1d(x_arr), np.atleast_1d(om_arr))
-    K = int(trunc) if trunc is not None else auto_truncation(w)
-    if K < 1:
-        raise ValueError(f"truncation must be at least 1, got {trunc!r}")
+    K = _truncation(w, trunc)
     center = envelope(w).center
     k_lo = math.floor(float(x_b.min()) + center) - K
     k_hi = math.ceil(float(x_b.max()) + center) + K
@@ -102,7 +110,7 @@ def zak_surface(w, resolution, trunc=None):
     N = int(resolution)
     if N < 8:
         raise ValueError(f"surface resolution must be at least 8, got {resolution!r}")
-    K = int(trunc) if trunc is not None else auto_truncation(w)
+    K = _truncation(w, trunc)
     center = envelope(w).center
     k_lo, k_hi = math.floor(center) - K, math.ceil(center) + 1 + K
     ks = np.arange(k_lo, k_hi + 1, dtype=float)
@@ -123,7 +131,7 @@ def zak_scaled(a, w, x, omega, trunc=None):
         raise ValueError(f"scaled Zak transform requires a > 0, got {a!r}")
     a = float(a)
     env = envelope(w)
-    K = int(trunc) if trunc is not None else auto_truncation(w, a)
+    K = _truncation(w, trunc, a)
     k0 = round((float(x) + env.center) / a)
     ks = k0 + np.arange(-K, K + 1, dtype=float)
     vals = evaluate(w, a * ks - float(x))

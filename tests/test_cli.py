@@ -315,6 +315,42 @@ def test_non_finite_closed_form_values_exit_code(tmp_path, capsys, command):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--extra-shift", "nan,0"], "point set shift (nan, 0.0) must be finite"),
+    (["--extra-shift", "inf,0"], "point set shift (inf, 0.0) must be finite"),
+    (["--generator", "1,0,0,1", "--shifts", "0,0;nan,0.5"],
+     "point set shift (nan, 0.5) must be finite"),
+    (["--generator", "inf,0,0,1"],
+     "point set generator entry (0, 0) must be finite, got inf"),
+], ids=["extra-shift-nan", "extra-shift-inf", "shifts-nan", "generator-inf"])
+def test_non_finite_point_set_exit_code(tmp_path, capsys, flags, message):
+    out = tmp_path / "x.json"
+    assert run(["frame-bounds", "--n", "8", *flags, "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["frft-apply", "--angle", "inf"], "frft requires a finite r, got inf"),
+    (["frft-apply", "--angle", "nan"], "frft requires a finite r, got nan"),
+    (["frft-apply", "--angle", "inf", "--method", "hermite"],
+     "frft requires a finite r, got inf"),
+    (["verify", "--suite", "frft", "--angle", "inf"], "frft requires a finite r, got inf"),
+    (["find-zeros", "--n", "32", "--tol", "nan"], "zero search needs a finite tol, got nan"),
+    (["find-zeros", "--n", "32", "--tol", "inf"], "zero search needs a finite tol, got inf"),
+    (["zak-surface", "--n", "8", "--truncation", "-5"],
+     "truncation must be at least 1, got -5"),
+], ids=["frft-inf", "frft-nan", "frft-hermite-inf", "verify-frft-inf",
+        "find-zeros-tol-nan", "find-zeros-tol-inf", "zak-surface-truncation"])
+def test_non_finite_angle_tol_and_low_truncation_exit_code(tmp_path, capsys, argv,
+                                                            message):
+    out = tmp_path / "x"
+    assert run([*argv, "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+    assert not (tmp_path / "x.meta.json").exists()
+
+
 def test_tilted_valley_job_reports_zeros_in_unit_square(tmp_path, capsys):
     out = tmp_path / "report.json"
     chain = '[{"op": "frft", "r": 0.3}, {"op": "chirp", "q": 0.64}]'

@@ -383,6 +383,23 @@ def test_snap_evaluates_each_point_once(monkeypatch):
                    and z.residual <= 1e-13 for z in zeros)
 
 
+@pytest.mark.parametrize("w", [window(2), window(1, (FrFT(0.8), Chirp(0.7)))],
+                         ids=["closed-form", "interpolated"])
+def test_zero_search_makes_only_batched_zak_calls(monkeypatch, w):
+    # the polish, the snap and the residuals all evaluate the objective in batches
+    calls = counting_zak_point(monkeypatch)
+    union = reduce_to_multiwindow(GaborSystem([w], PRESETS["Z2-union-half"]))
+    frame_bounds(union, 32)
+    zeros = find_zak_zeros(w, 32)
+    assert zeros and calls["batched"] > 0 and calls["scalar"] == 0
+
+
+def test_find_zeros_rejects_non_finite_tol():
+    for tol in (math.nan, math.inf):
+        with pytest.raises(ValueError, match=f"needs a finite tol, got {tol!r}"):
+            find_zak_zeros(window(0), 32, tol=tol)
+
+
 def test_unit_representative():
     from gaborkit.frames import _unit
     assert _unit(-1e-17) == 0.0

@@ -144,3 +144,16 @@ def test_json_round_trip():
     assert d["generator"] == [[1.0, 0.0], [0.0, 1.0]]
     assert d["shifts"] == [[0.0, 0.0], [0.5, 0.5]]
     assert from_json(d) == ps
+
+
+@pytest.mark.parametrize("generator, shifts, message", [
+    ([[math.inf, 0.0], [0.0, 1.0]], [(0.0, 0.0)],
+     r"generator entry \(0, 0\) must be finite, got inf"),
+    ([[1.0, 0.0], [math.nan, 1.0]], [(0.0, 0.0)],
+     r"generator entry \(1, 0\) must be finite, got nan"),
+    (np.eye(2), [(0.0, 0.0), (math.nan, 0.5)], r"shift \(nan, 0.5\) must be finite"),
+    (np.eye(2), [(0.0, -math.inf)], r"shift \(0.0, -inf\) must be finite"),
+])
+def test_point_set_rejects_non_finite_entries(generator, shifts, message):
+    with pytest.raises(ValueError, match=message):
+        point_set(generator, shifts)

@@ -273,3 +273,10 @@ def test_operators_compare_by_kind():
 def test_operator_fields_must_be_finite(make, message, value):
     with pytest.raises(ValueError, match=message):
         make(value)
+
+
+@pytest.mark.parametrize("method", ["quadrature", "hermite"])
+@pytest.mark.parametrize("r", [math.inf, -math.inf, math.nan])
+def test_frft_rejects_non_finite_angle(method, r):
+    with pytest.raises(ValueError, match=f"frft requires a finite r, got {r!r}"):
+        apply_frft(r, realize(window(0)), method=method)

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from gaborkit import windows
 from gaborkit.operators import (Chirp, Dilation, Fourier, FrFT, TFShift,
                                 apply_fourier, sinc_interpolate)
 from gaborkit.windows import (closed_form, descriptor, envelope, evaluate,
@@ -145,3 +146,16 @@ def test_descriptor_round_trip():
 def test_parse_descriptor_rejects_unknown_operator_keys(entry, key):
     with pytest.raises(ValueError, match=f"'{entry['op']}' has no field '{key}'"):
         parse_descriptor({"hermite": 1, "chain": [entry]})
+
+
+def test_each_interpolated_window_is_realized_once():
+    # the envelope and the interpolation of a window share one realization
+    from gaborkit.frames import GaborSystem, frame_bounds, reduce_to_multiwindow
+    from gaborkit.lattices import PRESETS
+    from gaborkit.zak import auto_truncation
+    w = window(1, (FrFT(0.8), Chirp(0.7)))
+    system = reduce_to_multiwindow(GaborSystem([w], PRESETS["Z2-union-half"]))
+    for cached in (realize, envelope, auto_truncation, windows._fine_realization):
+        cached.cache_clear()
+    frame_bounds(system, 32)
+    assert realize.cache_info().misses == len(set(system.windows)) == 2

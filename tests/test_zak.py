@@ -296,3 +296,16 @@ def test_non_finite_window_values_raise_unbounded_window():
             zak_point(w, 0.25, 0.5)
         with pytest.raises(UnboundedWindow, match="non-finite values"):
             zak_point(w, np.array([0.0, 0.5]), 0.5)
+
+
+@pytest.mark.parametrize("trunc", [0, -5])
+def test_every_zak_evaluation_rejects_truncation_below_one(trunc):
+    message = f"truncation must be at least 1, got {trunc}"
+    w = window(0)
+    with pytest.raises(ValueError, match=message):
+        zak_point(w, 0.25, 0.5, trunc)
+    with pytest.raises(ValueError, match=message):
+        zak_surface(w, 8, trunc)
+    with pytest.raises(ValueError, match=message):
+        zak_scaled(SQRT2, w, 0.25, 0.5, trunc)
+    assert zak_surface(w, 8, 1).truncation == 1

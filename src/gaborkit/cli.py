@@ -230,6 +230,8 @@ _SUITES = {"zak": _suite_zak, "theta": _suite_theta, "frft": _suite_frft,
 
 
 def _cmd_verify(args):
+    if args.samples < 1:
+        raise ValueError(f"--samples must be at least 1, got {args.samples}")
     names = list(_SUITES) if args.suite == "all" else [args.suite]
     defects, tols = {}, {}
     for name in names:

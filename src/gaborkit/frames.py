@@ -3,6 +3,10 @@
 A system over a reducible point set is first rewritten as a multi-window
 system over the integer lattice; the frame bounds are then the extrema of
 the multi-window Zak objective sum_m |Z g_m|^2 on the fundamental domain.
+The grid stage holds the N x N objective and two N x N float buffers, which
+every whole-grid pass (squared moduli, slacks, square root, 3 x 3 torus
+minima) overwrites in place, and one complex Zak surface at a time before
+the second buffer exists; the last pass gives the boolean candidate mask.
 Candidate grid minima are refined together by damped Newton steps on batched
 Zak values (to a relative gain of 1e-12); one batched evaluation then snaps
 each coordinate to a rational of denominator at most 8 within 1e-6 where
@@ -245,17 +249,48 @@ def _snap(windows, pts, trunc):
             in zip(V[rows, pick].tolist(), F[rows, pick].tolist())]
 
 
-def _local_minima_mask(F):
-    # F at or below the minimum of its 3 x 3 torus neighbourhood, taken as a
-    # minimum over rows and then over columns
-    m = np.minimum(F, np.minimum(np.roll(F, 1, axis=0), np.roll(F, -1, axis=0)))
-    m = np.minimum(m, np.minimum(np.roll(m, 1, axis=1), np.roll(m, -1, axis=1)))
-    return F <= m
+# The whole-grid passes below run over flattened C-contiguous grids, where a
+# step along axis 0 is a row and a step along axis 1 one element; each pass
+# is then one contiguous slice operation, and the nodes whose neighbour wraps
+# around the torus are redone from the first and last row or column.
+
+def _torus_min3(src, pair, out, axis):
+    # out = min(src[i - 1], src[i], src[i + 1]) along axis, on the torus, by
+    # way of pair[i] = min(src[i - 1], src[i]); src is read in full before
+    # out is written, so out may be src
+    step = src.shape[1] if axis == 0 else 1
+    s, p, o = src.reshape(-1), pair.reshape(-1), out.reshape(-1)
+    sa, pa, oa = (src, pair, out) if axis == 0 else (src.T, pair.T, out.T)
+    np.minimum(s[:-step], s[step:], out=p[step:])
+    np.minimum(sa[-1], sa[0], out=pa[0])
+    np.minimum(p[:-step], p[step:], out=o[:-step])
+    np.minimum(pa[-1], pa[0], out=oa[-1])
 
 
-def _grid_slack(F):
-    return max(float(np.max(np.abs(F - np.roll(F, 1, axis=0)))),
-               float(np.max(np.abs(F - np.roll(F, 1, axis=1)))))
+def _local_minima_mask(F, threshold=np.inf, scratch=None):
+    """Nodes where F is at or below threshold and at or below the minimum of
+    its 3 x 3 torus neighbourhood (taken over rows and then over columns).
+    scratch is a pair of C-contiguous arrays shaped like F, overwritten;
+    allocated when None."""
+    pair, m = (np.empty(F.shape), np.empty(F.shape)) if scratch is None else scratch
+    _torus_min3(F, pair, m, 0)
+    _torus_min3(m, pair, m, 1)
+    # F <= min(m, t) exactly when F <= m and F <= t
+    return F <= np.minimum(m, threshold, out=m)
+
+
+def _grid_slack(F, scratch=None):
+    """Largest step |F[i] - F[i - 1]| between torus neighbours along either
+    grid axis.  scratch is a C-contiguous array shaped like F, overwritten;
+    allocated when None."""
+    d = np.empty(F.shape) if scratch is None else scratch
+    f, flat = F.reshape(-1), d.reshape(-1)
+    steps = []
+    for step, src, diff in ((F.shape[1], F, d), (1, F.T, d.T)):
+        np.subtract(f[step:], f[:-step], out=flat[step:])
+        np.subtract(src[0], src[-1], out=diff[0])
+        steps.append(float(np.max(np.abs(d, out=d))))
+    return max(steps)
 
 
 def _unit(v):
@@ -269,18 +304,31 @@ def _torus_dist(a, b):
     return min(d, 1.0 - d)
 
 
-def _search_zeros(windows, resolution, trunc, tol):
-    N = int(resolution)
-    F = np.zeros((N, N))
+def _grid_candidates(windows, N, trunc):
+    """The grid stage of the zero search: extrema and slacks of the objective
+    F = sum_m |Z g_m|^2 on the N x N grid, and the candidate nodes.  Every
+    whole-grid pass writes into F or one of two N x N float buffers."""
+    F, buf = np.zeros((N, N)), np.empty((N, N))
     for g in windows:
-        F += np.abs(zak_surface(g, N, trunc).values) ** 2
+        np.abs(zak_surface(g, N, trunc).values, out=buf)
+        F += np.multiply(buf, buf, out=buf)
     A_grid, B_grid = float(F.min()), float(F.max())
-    slack = _grid_slack(F)
-    amp_slack = _grid_slack(np.sqrt(F))
+    slack = _grid_slack(F, buf)
+    # the second buffer is made only once no complex surface is held
+    amp = np.sqrt(F)
+    amp_slack = _grid_slack(amp, buf)
     # candidate nodes: local minima low enough to hide a zero of the
     # amplitude within one grid cell (the global minimum always qualifies)
     threshold = max(3.0 * A_grid, (4.0 * amp_slack) ** 2, 1e-24)
-    cand = np.argwhere(_local_minima_mask(F) & (F <= threshold))
+    # the row-major (i, j) of each candidate, as np.argwhere gives them
+    cand = np.stack(np.divmod(
+        np.flatnonzero(_local_minima_mask(F, threshold, (buf, amp))), N), axis=1)
+    return A_grid, B_grid, slack, amp_slack, cand
+
+
+def _search_zeros(windows, resolution, trunc, tol):
+    N = int(resolution)
+    A_grid, B_grid, slack, amp_slack, cand = _grid_candidates(windows, N, trunc)
     polished = sorted(_snap(windows, _polish(windows, cand / N, 1.2 / N, trunc), trunc),
                       key=lambda z: z.residual)
     A_refined = min([A_grid] + [z.residual ** 2 for z in polished])
@@ -339,6 +387,8 @@ def find_zak_zeros(w, resolution=64, tol=1e-10, trunc=None):
         raise ValueError(f"zero search needs resolution >= 32, got {resolution!r}")
     if not math.isfinite(tol):
         raise ValueError(f"zero search needs a finite tol, got {tol!r}")
+    if tol < 0:
+        raise ValueError(f"zero search needs tol >= 0, got {tol!r}")
     _, _, _, zeros = _search_zeros([w], resolution, trunc, tol)
     return sorted(zeros, key=lambda z: (z.x, z.omega))
 

@@ -360,3 +360,28 @@ def test_tilted_valley_job_reports_zeros_in_unit_square(tmp_path, capsys):
     zeros = json.loads(out.read_text())["zeros"]
     assert len(zeros) == 5
     assert all(0.0 <= z[k] < 1.0 for z in zeros for k in ("x", "omega"))
+
+
+@pytest.mark.parametrize("flags, conf", [
+    (["--samples", "0"], None),
+    (["--samples", "-1"], None),
+    ([], {"samples": 0}),
+], ids=["flag-0", "flag-negative", "config-0"])
+def test_verify_samples_below_one_exit_code(tmp_path, capsys, flags, conf):
+    out = tmp_path / "x.json"
+    argv = ["verify", "--suite", "intertwine", *flags, "--out", str(out)]
+    if conf is not None:
+        path = tmp_path / "job.json"
+        path.write_text(json.dumps(conf))
+        argv = ["--config", str(path), *argv]
+    assert run(argv) == 2
+    value = flags[-1] if flags else conf["samples"]
+    assert f"--samples must be at least 1, got {value}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_find_zeros_negative_tol_exit_code(tmp_path, capsys):
+    out = tmp_path / "x.json"
+    assert run(["find-zeros", "--n", "32", "--tol", "-1", "--out", str(out)]) == 2
+    assert "zero search needs tol >= 0, got -1.0" in capsys.readouterr().err
+    assert not out.exists()

@@ -406,3 +406,67 @@ def test_unit_representative():
     assert _unit(1.0) == 0.0
     assert _unit(-0.25) == 0.75
     assert _unit(0.9999999999999825) == 0.9999999999999825
+
+
+# the grid stage as it was written with np.roll copies: the in-place passes
+# of frames must reproduce it bit for bit
+
+def roll_grid_slack(F):
+    return max(float(np.max(np.abs(F - np.roll(F, 1, axis=0)))),
+               float(np.max(np.abs(F - np.roll(F, 1, axis=1)))))
+
+
+def roll_grid_candidates(windows, N, trunc):
+    F = np.zeros((N, N))
+    for g in windows:
+        F += np.abs(zak_surface(g, N, trunc).values) ** 2
+    A_grid, B_grid = float(F.min()), float(F.max())
+    slack = roll_grid_slack(F)
+    amp_slack = roll_grid_slack(np.sqrt(F))
+    threshold = max(3.0 * A_grid, (4.0 * amp_slack) ** 2, 1e-24)
+    m = np.minimum(F, np.minimum(np.roll(F, 1, axis=0), np.roll(F, -1, axis=0)))
+    m = np.minimum(m, np.minimum(np.roll(m, 1, axis=1), np.roll(m, -1, axis=1)))
+    cand = np.argwhere((F <= m) & (F <= threshold))
+    return A_grid, B_grid, slack, amp_slack, cand
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 5, 8, 33])
+def test_grid_slack_matches_roll_reference(N):
+    from gaborkit.frames import _grid_slack
+    rng = np.random.default_rng(100 + N)
+    ramp = np.arange(N, dtype=float)
+    grids = [rng.standard_normal((N, N)),  # steps of both signs
+             rng.integers(-2, 3, (N, N)).astype(float),  # many ties
+             np.full((N, N), -3.0),
+             np.repeat(ramp[:, None], N, axis=1),  # largest jump across the wrap row
+             np.repeat(-ramp[None, :], N, axis=0),  # ... and the wrap column
+             np.add.outer(ramp, 2.0 * ramp[::-1])]
+    for F in grids:
+        expected = roll_grid_slack(F)
+        assert _grid_slack(F) == expected
+        scratch = rng.random((N, N))
+        assert _grid_slack(F, scratch) == expected
+    if N > 2:
+        assert _grid_slack(grids[3]) == _grid_slack(grids[4]) == N - 1.0
+
+
+def union_systems():
+    cases = [pytest.param(reduce_to_multiwindow(system(n, "Z2-union-half")),
+                          id=f"h{n}-Z2-union-half") for n in range(5)]
+    union = point_set(np.eye(2), [(0.0, 0.0), (0.375, 0.125)])
+    cases.append(pytest.param(reduce_to_multiwindow(GaborSystem([window(4)], union)),
+                              id="h4-eighths"))
+    return cases
+
+
+@pytest.mark.parametrize("N", [33, 64, 255])
+@pytest.mark.parametrize("sys_", union_systems())
+def test_grid_stage_matches_roll_reference_bit_for_bit(monkeypatch, N, sys_):
+    from gaborkit import frames
+    got = frames._grid_candidates(sys_.windows, N, None)
+    expected = roll_grid_candidates(sys_.windows, N, None)
+    assert got[:4] == expected[:4]
+    assert np.array_equal(got[4], expected[4])
+    zeros = frames._search_zeros(sys_.windows, N, None, 1e-10)
+    monkeypatch.setattr(frames, "_grid_candidates", roll_grid_candidates)
+    assert zeros == frames._search_zeros(sys_.windows, N, None, 1e-10)

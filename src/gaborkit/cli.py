@@ -25,7 +25,8 @@ from .frames import (GaborSystem, find_zak_zeros, frame_bounds,
                      theta_zero_certificate)
 from .lattices import PRESETS, point_set
 from .operators import (Chirp, Dilation, Fourier, FrFT, TFShift, apply_chain,
-                        apply_frft, matched_phase_residual, project_isomorphism)
+                        apply_frft, apply_tf_shifts, matched_phase_residual,
+                        project_isomorphism)
 from .special import theta3
 from .windows import descriptor, parse_descriptor, realize, window
 from .zak import _csv_rows, verify_identities, write_surface_csv, zak_surface
@@ -212,13 +213,13 @@ def _suite_intertwine(args):
     for op in (Dilation(1.3), Chirp(0.7), FrFT(0.6), Fourier()):
         U = project_isomorphism(op)
         worst = 0.0
+        # U @ z per z: one matrix product over all zs rounds differently
+        uzs = [U @ z for z in zs]
         for n in (0, 1):
             f = realize(window(n))
-            uf = apply_chain((op,), f)
-            for z in zs:
+            rhss = apply_tf_shifts(uzs, apply_chain((op,), f))
+            for z, rhs in zip(zs, rhss):
                 lhs = apply_chain((op,), realize(window(n, (TFShift(z[0], z[1]),))))
-                uz = U @ z
-                rhs = apply_chain((TFShift(uz[0], uz[1]),), uf)
                 resid, _ = matched_phase_residual(lhs, rhs)
                 worst = max(worst, resid / f.norm())
         defects[op.tag] = worst

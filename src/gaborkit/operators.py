@@ -86,9 +86,8 @@ def sinc_interpolate(f, where):
 
     Exact for functions band-limited below the grid Nyquist rate; our
     Gaussian-decay windows are band-limited to machine precision.  Cost is
-    one full sinc kernel row per point; prefer :func:`resample` in bulk,
-    which upsamples once and applies a 12-point stencil per point
-    (:func:`apply_dilation` also caches that stencil per factor and grid).
+    one full sinc kernel row per point; in bulk, :func:`upsample` once and
+    apply :func:`local_interpolate`'s 12-point stencil per point.
     """
     where = np.asarray(where, dtype=float)
     flat = np.atleast_1d(where).ravel()
@@ -124,31 +123,6 @@ def upsample(values, factor=UPSAMPLE):
     return np.fft.ifft(padded) * factor
 
 
-def _stencil(where, fine_step, extent, fine_size):
-    # the grid-only half of local_interpolate: fine-grid indices, barycentric
-    # terms and their row sums, the fine index of each row that hits a node,
-    # and the points outside the grid
-    pos = (where + extent) / fine_step
-    i0 = np.clip(np.floor(pos).astype(int) - (STENCIL // 2 - 1),
-                 0, fine_size - STENCIL)
-    offsets = np.arange(STENCIL)
-    idx = i0[:, None] + offsets[None, :]
-    rel = pos[:, None] - idx
-    exact = np.abs(rel) < 1e-9
-    terms = _BARY_WEIGHTS[None, :] / np.where(exact, 1.0, rel)
-    return idx, terms, np.sum(terms, axis=1), np.any(exact, axis=1), \
-        idx[exact], np.abs(where) > extent
-
-
-def _apply_stencil(stencil, fine):
-    idx, terms, row_sums, hit_rows, hit_idx, outside = stencil
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = np.sum(terms * fine[idx], axis=1) / row_sums
-    out[hit_rows] = fine[hit_idx]
-    out[outside] = 0.0
-    return out
-
-
 def local_interpolate(fine, fine_step, extent, where):
     """Barycentric Lagrange interpolation on an oversampled grid.
 
@@ -158,42 +132,63 @@ def local_interpolate(fine, fine_step, extent, where):
     """
     where = np.asarray(where, dtype=float)
     flat = np.atleast_1d(where).ravel()
-    out = _apply_stencil(_stencil(flat, fine_step, extent, fine.size), fine)
+    pos = (flat + extent) / fine_step
+    i0 = np.clip(np.floor(pos).astype(int) - (STENCIL // 2 - 1),
+                 0, fine.size - STENCIL)
+    idx = i0[:, None] + np.arange(STENCIL)[None, :]
+    rel = pos[:, None] - idx
+    exact = np.abs(rel) < 1e-9
+    terms = _BARY_WEIGHTS[None, :] / np.where(exact, 1.0, rel)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = np.sum(terms * fine[idx], axis=1) / np.sum(terms, axis=1)
+    out[np.any(exact, axis=1)] = fine[idx[exact]]
+    out[np.abs(flat) > extent] = 0.0
     out = out.reshape(where.shape)
     return out if where.ndim else complex(out[()])
-
-
-def resample(f, where):
-    """Fast band-limited evaluation of a sampled function at arbitrary points."""
-    return local_interpolate(upsample(f.values), f.step / UPSAMPLE, f.extent, where)
 
 
 _SHIFT_LEAK_REL = 1e-9
 
 
+def apply_tf_shifts(zs, f):
+    """Apply each time-frequency shift z = (x, omega) of zs to one sampled function.
+
+    Yields one sampled function per shift, so that only one is held at a
+    time.  The translation part is performed in the Fourier domain
+    (band-limited interpolation), from one spectrum of f shared by all
+    shifts; the modulation is exact pointwise.  Raises
+    :class:`ShiftExceedsGrid`, when its shift is reached, if the samples that
+    a translation would push (circularly) past the grid edge carry
+    non-negligible mass.
+    """
+    vals = f.values
+    spectrum = None
+    for z in zs:
+        x, omega = float(z[0]), float(z[1])
+        g = vals
+        if x != 0.0:
+            if spectrum is None:
+                peak = np.abs(vals).max()
+                spectrum = np.fft.fft(vals)
+                freqs = np.fft.fftfreq(vals.size, d=f.step)
+            n_exit = min(int(math.ceil(abs(x) / f.step)), vals.size)
+            strip = vals[-n_exit:] if x > 0 else vals[:n_exit]
+            if peak > 0.0 and np.abs(strip).max() > _SHIFT_LEAK_REL * peak:
+                raise ShiftExceedsGrid(
+                    f"time shift {x} pushes effective support outside "
+                    f"extent {f.extent}")
+            g = np.fft.ifft(spectrum * np.exp(-2j * np.pi * x * freqs))
+        if omega != 0.0:
+            g = np.exp(2j * np.pi * omega * f.points) * g
+        yield SampledFunction(g, f.step, f.extent)
+
+
 def apply_tf_shift(z, f):
     """Apply the time-frequency shift by z = (x, omega) to a sampled function.
 
-    The translation part is performed in the Fourier domain (band-limited
-    interpolation); the modulation is exact pointwise.  Raises
-    :class:`ShiftExceedsGrid` when the samples that the translation would
-    push (circularly) past the grid edge carry non-negligible mass.
+    The one-shift case of :func:`apply_tf_shifts`.
     """
-    x, omega = float(z[0]), float(z[1])
-    vals = f.values
-    if x != 0.0:
-        peak = np.abs(vals).max()
-        n_exit = min(int(math.ceil(abs(x) / f.step)), vals.size)
-        strip = vals[-n_exit:] if x > 0 else vals[:n_exit]
-        if peak > 0.0 and np.abs(strip).max() > _SHIFT_LEAK_REL * peak:
-            raise ShiftExceedsGrid(
-                f"time shift {x} pushes effective support outside "
-                f"extent {f.extent}")
-        freqs = np.fft.fftfreq(vals.size, d=f.step)
-        vals = np.fft.ifft(np.fft.fft(vals) * np.exp(-2j * np.pi * x * freqs))
-    if omega != 0.0:
-        vals = np.exp(2j * np.pi * omega * f.points) * vals
-    return SampledFunction(vals, f.step, f.extent)
+    return next(apply_tf_shifts((z,), f))
 
 
 def _read_only(arrays):
@@ -203,22 +198,70 @@ def _read_only(arrays):
     return arrays
 
 
+def _chirp_convolve(x, chirp_hat):
+    # the linear convolution of the n values x with 2n - 1 chirp values, whose
+    # FFT at length 2n is chirp_hat, at the outputs n - 1 .. 2n - 2; a
+    # circular convolution of length 2n computes those without aliasing
+    n = x.size
+    return np.fft.ifft(np.fft.fft(x, 2 * n) * chirp_hat)[n - 1:2 * n - 1]
+
+
+def _pi_phase(m, num, den):
+    # m * num / den mod 2, in units of pi, for an integer array m and integers
+    # num and den > 0.  num / den is reduced mod 2 exactly, then split into a
+    # head whose products with every m are exact (so is their fmod) and a
+    # tail that carries the rest, so the phase keeps its last bits however
+    # large m * num / den is
+    scale = 2 ** (52 - int(np.abs(m).max()).bit_length())
+    head, rest = divmod(num % (2 * den) * scale, den)
+    m = m.astype(float)
+    return np.fmod(m * (head / scale), 2.0) + m * (rest / (den * scale))
+
+
 @lru_cache(maxsize=4)
-def _dilation_stencil(a, n, step, extent):
-    # the stencil of the points t_k / a on the fine grid of an n-point grid
-    return _read_only(_stencil(grid_points(extent, step) / a, step / UPSAMPLE,
-                               extent, n * UPSAMPLE))
+def _dilation_kernel(a, n, step, extent):
+    # The samples f(t_k / a) of the trigonometric interpolant of n samples,
+    # whose spectrum S_j runs over j in [-(n // 2), n - n // 2) (as in
+    # upsample for even n), sit at the grid positions c + k / a with
+    # c = (extent / step)(1 - 1 / a):
+    #   n f(t_k / a) = sum_j S_j exp(2 pi i j (c + k / a) / n),
+    # a chirp-z transform.  Through 2 j k = j^2 + k^2 - (k - j)^2 it is the
+    # convolution of the input factors exp(i pi (2 c j + j^2 / a) / n) times
+    # S_j with the chirp exp(-i pi (k - j)^2 / (a n)), times the output
+    # factors exp(i pi k^2 / (a n)).  The phases reach 1e4 rad, so each is
+    # reduced from the exact ratios of the float inputs (_pi_phase), as
+    # integers: the fractions module would add about 0.5 MB to a process.  The
+    # output factors also carry 1 / (n sqrt(a)), and are zero where
+    # |t_k / a| > extent.
+    p, q = a.as_integer_ratio()
+    ep, eq = float(extent).as_integer_ratio()
+    sp, sq = float(step).as_integer_ratio()
+    alpha = (q, p * n)  # 1 / (a n)
+    beta = (2 * ep * sq * (p - q), eq * sp * p * n)  # 2 c / n
+    j = np.arange(n) - n // 2
+    u = np.arange(-(n - 1), n) + n // 2  # k - j over the convolution
+    k = np.arange(n)
+    pre = np.exp(1j * np.pi * (_pi_phase(j * j, *alpha) + _pi_phase(j, *beta)))
+    chirp_hat = np.fft.fft(np.exp(-1j * np.pi * _pi_phase(u * u, *alpha)), 2 * n)
+    post = np.exp(1j * np.pi * _pi_phase(k * k, *alpha)) / (n * math.sqrt(a))
+    post[np.abs(grid_points(extent, step)) > extent * a] = 0.0
+    return _read_only((pre, chirp_hat, post))
 
 
 def apply_dilation(a, f):
-    """Apply the unitary dilation f(t) -> a^(-1/2) f(t/a)."""
+    """Apply the unitary dilation f(t) -> a^(-1/2) f(t/a).
+
+    The samples of the band-limited interpolant of f at t_k / a are one
+    chirp-z transform of the spectrum of f; zero where |t_k / a| > extent.
+    """
     if not a > 0:
         raise ValueError(f"dilation requires a > 0, got {a!r}")
     a = float(a)
     if a == 1.0:
         return SampledFunction(f.values.copy(), f.step, f.extent)
-    stencil = _dilation_stencil(a, f.values.size, f.step, f.extent)
-    vals = _apply_stencil(stencil, upsample(f.values)) / math.sqrt(a)
+    pre, chirp_hat, post = _dilation_kernel(a, f.values.size, f.step, f.extent)
+    spectrum = np.fft.fftshift(np.fft.fft(f.values))
+    vals = post * _chirp_convolve(spectrum * pre, chirp_hat)
     return SampledFunction(vals, f.step, f.extent)
 
 
@@ -262,11 +305,9 @@ def _frft_quadrature(r, f):
     # composite-rule quadrature of the chirp kernel; the oscillatory sum
     # sum_k g_k exp(-2 pi i csc s_j t_k) is evaluated through the chirp
     # convolution identity 2 s t = s^2 + t^2 - (s - t)^2, which is the same
-    # sum computed with FFTs.  The linear convolution of the n samples with
-    # the 2n - 1 chirp values is needed only at n - 1 .. 2n - 2, which a
-    # circular convolution of length 2n computes without aliasing.  The
-    # grid-only factors are cached for the last two keys, so a suite that
-    # applies one angle to many rows builds them once.
+    # sum computed with FFTs (_chirp_convolve).  The grid-only factors are
+    # cached for the last two keys, so a suite that applies one angle to many
+    # rows builds them once.
     cot = math.cos(r) / math.sin(r)
     csc = 1.0 / math.sin(r)
     if np.abs(f.values).max() == 0.0:
@@ -279,8 +320,7 @@ def _frft_quadrature(r, f):
     n = values.size
     pre, chirp_hat, out_ramp, post = _frft_kernel(
         r, n, f.step / refine, f.extent, refine)
-    conv = np.fft.ifft(np.fft.fft(values * pre, 2 * n) * chirp_hat)
-    out = out_ramp * conv[n - 1:2 * n - 1:refine]
+    out = out_ramp * _chirp_convolve(values * pre, chirp_hat)[::refine]
     out *= post
     return SampledFunction(out, f.step, f.extent)
 

@@ -94,18 +94,19 @@ def _fine_realization(w):
 def realize(w, extent=DEFAULT_EXTENT, step=DEFAULT_STEP):
     """Sampled realization of a window on a uniform grid.
 
-    The maximal pointwise suffix of the chain is evaluated exactly (and must
-    be finite, else :class:`UnboundedWindow`); the remaining operators
-    (fractional Fourier links and anything left of them) are applied numerically.
+    The maximal pointwise suffix of the chain (all of it for a closed-form
+    window) is evaluated exactly and must be finite, else
+    :class:`UnboundedWindow`; the remaining operators (fractional Fourier
+    links and anything left of them) are applied numerically.
     """
     pts = grid_points(extent, step)
-    if closed_form(w):
-        return SampledFunction(evaluate(w, pts), step, extent)
-    split = max(i for i, op in enumerate(w.chain) if op.at is None)
-    suffix = Window(w.n, w.chain[split + 1:], 1.0 + 0.0j)
+    split = max((i for i, op in enumerate(w.chain) if op.at is None), default=-1)
+    suffix = w if split < 0 else Window(w.n, w.chain[split + 1:], 1.0 + 0.0j)
     f = SampledFunction(evaluate(suffix, pts), step, extent)
     if not np.isfinite(f.values).all():
         raise UnboundedWindow("the pointwise part of the window has non-finite samples")
+    if split < 0:
+        return f
     f = apply_chain(w.chain[:split + 1], f)
     return SampledFunction(w.phase * f.values, step, extent)
 

@@ -315,6 +315,18 @@ def test_non_finite_closed_form_values_exit_code(tmp_path, capsys, command):
     assert not out.exists()
 
 
+def test_non_finite_closed_form_window_exit_code_in_frft_apply(tmp_path, capsys):
+    # the FrFT collapses into the Hermite phase, so the window is closed-form,
+    # and h_2(t / a) is NaN wherever t / a overflows
+    chain = '[{"op": "dilation", "a": 5e-324}, {"op": "frft", "r": 0.5}]'
+    out = tmp_path / "x.csv"
+    with np.errstate(all="ignore"):
+        assert run(["frft-apply", "--hermite", "2", "--angle", "0.4",
+                    "--chain", chain, "--out", str(out)]) == 3
+    assert "non-finite samples" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("flags, message", [
     (["--extra-shift", "nan,0"], "point set shift (nan, 0.0) must be finite"),
     (["--extra-shift", "inf,0"], "point set shift (inf, 0.0) must be finite"),

@@ -1,20 +1,29 @@
 import math
+import warnings
+from fractions import Fraction
 
+import mpmath as mp
 import numpy as np
 import pytest
 
 from gaborkit import operators
 from gaborkit.errors import ShiftExceedsGrid, SingularAngle, TruncationTooCoarse
-from gaborkit.operators import (Chirp, Dilation, Fourier, FrFT, TFShift,
-                                apply_chain, apply_chirp, apply_dilation,
-                                apply_frft, apply_tf_shift,
+from gaborkit.operators import (UPSAMPLE, Chirp, Dilation, Fourier, FrFT,
+                                TFShift, apply_chain, apply_chirp,
+                                apply_dilation, apply_frft, apply_tf_shift,
+                                apply_tf_shifts, local_interpolate,
                                 matched_phase_residual, project_isomorphism,
-                                resample, sinc_interpolate, support_radius)
+                                sinc_interpolate, support_radius, upsample)
 from gaborkit.windows import evaluate, realize, window
 
 
 def l2(values, step=1.0 / 128):
     return math.sqrt(float(np.sum(np.abs(values) ** 2)) * step)
+
+
+def fine_interpolate(f, where):
+    # the path windows.evaluate takes for interpolated windows
+    return local_interpolate(upsample(f.values), f.step / UPSAMPLE, f.extent, where)
 
 
 def test_zero_shift_is_identity():
@@ -46,6 +55,23 @@ def test_shift_exceeding_grid_raises():
     f = realize(window(0))
     with pytest.raises(ShiftExceedsGrid):
         apply_tf_shift((11.0, 0.0), f)
+
+
+def test_tf_shifts_match_single_shifts_bit_for_bit():
+    f = realize(window(1, (Dilation(1.3),)))
+    zs = [(0.0, 0.0), (0.7, 0.0), (0.0, -1.3), (-1.1, 0.4), (0.7, 0.0),
+          (1.9, -1.8)]
+    for z, g in zip(zs, apply_tf_shifts(zs, f), strict=True):
+        assert np.array_equal(g.values, apply_tf_shift(z, f).values)
+    assert list(apply_tf_shifts([], f)) == []
+
+
+def test_tf_shifts_check_each_shift_for_grid_leaks():
+    f = realize(window(0))
+    shifts = apply_tf_shifts([(0.5, 0.5), (-11.0, 0.0)], f)
+    assert np.array_equal(next(shifts).values, apply_tf_shift((0.5, 0.5), f).values)
+    with pytest.raises(ShiftExceedsGrid, match="time shift -11.0"):
+        next(shifts)
 
 
 def test_dilation_identity_and_norm():
@@ -110,13 +136,72 @@ def test_frft_quadrature_hermite_eigenvalues_pinned(r):
         assert np.max(np.abs(g.values - np.exp(-1j * n * r) * f.values)) <= 1e-10
 
 
-@pytest.mark.parametrize("a", [0.77, 0.8, 1.3])
+def test_dilation_on_an_odd_grid_matches_closed_form():
+    # 1535 samples: the spectrum runs over j in [-767, 767]
+    f = operators.sample(lambda t: np.exp(-np.pi * t * t),
+                         extent=6.0, step=12.0 / 1535)
+    expected = np.exp(-np.pi * (f.points / 1.3) ** 2) / math.sqrt(1.3)
+    assert np.max(np.abs(apply_dilation(1.3, f).values - expected)) <= 1e-14
+
+
+@pytest.mark.parametrize("a", [0.7, 1.3, 5e-324, 1e300])
+def test_dilation_kernel_phases_match_mpmath(a):
+    # the reduced phases of the cached chirp-z factors, against the exact
+    # phases of the float inputs at 40 digits
+    n, step, extent = 3072, 1.0 / 128.0, 12.0
+    pre, chirp_hat, post = operators._dilation_kernel(a, n, step, extent)
+    chirp = np.fft.ifft(chirp_hat)[:2 * n - 1]
+    alpha = 1 / (Fraction(a) * n)
+    beta = 2 * Fraction(extent) / Fraction(step) * (1 - 1 / Fraction(a)) / n
+    with mp.workdps(40):
+        def expi_pi(theta):
+            theta %= 2  # exact, then rounded to 40 digits
+            return complex(mp.expjpi(mp.mpf(theta.numerator) / theta.denominator))
+
+        for idx in (*range(0, n, 97), n - 1):
+            j = idx - n // 2
+            assert abs(pre[idx] - expi_pi(j * j * alpha + j * beta)) <= 2e-15
+            assert abs(post[idx] * n * math.sqrt(a) - expi_pi(idx * idx * alpha)) \
+                <= 2e-15 or post[idx] == 0.0
+        for idx in (*range(0, 2 * n - 1, 97), 2 * n - 2):
+            u = idx - (n - 1) + n // 2
+            assert abs(chirp[idx] - expi_pi(-u * u * alpha)) <= 1e-14
+    # the reduction itself, on integers far beyond the grid's
+    m = np.array([0, 1, -7, 12345, 2 ** 26 - 1])
+    theta = operators._pi_phase(m, alpha.numerator, alpha.denominator)
+    with mp.workdps(40):
+        for mi, th in zip(m.tolist(), theta):
+            exact = mi * alpha % 2
+            diff = (mp.mpf(th) - mp.mpf(exact.numerator) / exact.denominator) % 2
+            assert min(diff, 2 - diff) <= 4e-16 * max(1.0, abs(th))
+
+
+@pytest.mark.parametrize("a", [1e-300, 5e-324, 1e-12, 1e12, 1e300])
+def test_dilation_by_extreme_factors_is_finite_and_silent(a):
+    # a <= 1e-12 keeps only the t = 0 sample, f(0) / sqrt(a); a >= 1e12 maps
+    # every sample next to t = 0
+    w = window(2, (TFShift(0.3, -0.2),))
+    f = realize(w)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        g = apply_dilation(a, f).values
+    assert np.isfinite(g).all()
+    mid = f.values.size // 2
+    if a < 1.0:
+        assert np.flatnonzero(g).tolist() == [mid]
+        assert abs(g[mid] / (f.values[mid] / math.sqrt(a)) - 1.0) <= 1e-12
+    else:
+        expected = evaluate(w, f.points / a) / math.sqrt(a)
+        assert np.max(np.abs(g - expected)) <= 1e-14 * np.max(np.abs(expected))
+
+
+@pytest.mark.parametrize("a", [0.77, 0.8, 1.3, 0.7, 0.9, 1.0001, 2.0])
 def test_dilation_of_shifted_hermite_matches_closed_form(a):
-    for n in (0, 1, 3):
+    for n in range(6):
         for x, omega in ((0.0, 0.0), (0.4, -0.7), (-1.1, 0.9)):
             f = realize(window(n, (TFShift(x, omega),)))
             expected = evaluate(window(n, (Dilation(a), TFShift(x, omega))), f.points)
-            assert np.max(np.abs(apply_dilation(a, f).values - expected)) <= 1e-13
+            assert np.max(np.abs(apply_dilation(a, f).values - expected)) <= 1e-14
 
 
 def test_operator_kernel_caches_keep_every_key_apart():
@@ -138,7 +223,7 @@ def test_operator_kernel_caches_keep_every_key_apart():
     ]
     interleaved = [call().values for call in calls + calls]
     for i, call in enumerate(calls + calls):
-        operators._dilation_stencil.cache_clear()
+        operators._dilation_kernel.cache_clear()
         operators._frft_kernel.cache_clear()
         assert np.array_equal(call().values, interleaved[i])
 
@@ -236,16 +321,16 @@ def test_resample_matches_sinc():
     f = realize(window(4))
     rng = np.random.RandomState(33)
     where = rng.uniform(-9.0, 9.0, 500)
-    assert np.max(np.abs(resample(f, where) - sinc_interpolate(f, where))) < 1e-12
+    assert np.max(np.abs(fine_interpolate(f, where) - sinc_interpolate(f, where))) < 1e-12
 
 
 def test_interpolators_take_a_scalar_point():
     f = realize(window(3))
-    for interp in (resample, sinc_interpolate):
+    for interp in (fine_interpolate, sinc_interpolate):
         value = interp(f, 0.3)
         assert isinstance(value, complex)
         assert value == interp(f, np.array([0.3]))[0]
-    assert resample(f, 12.5) == 0.0
+    assert fine_interpolate(f, 12.5) == 0.0
 
 
 def test_support_radius():

@@ -20,12 +20,11 @@ from .operators import (Chirp, Dilation, Fourier, FrFT, SampledFunction,
                         TFShift, apply_chain, apply_chirp, apply_dilation,
                         apply_fourier, apply_frft, apply_tf_shift,
                         grid_points, matched_phase_residual,
-                        project_isomorphism, sample, sinc_interpolate,
-                        support_radius)
+                        project_isomorphism, sample, support_radius)
 from .special import ThetaValue, hermite, hermite_stack, theta3
-from .windows import (Window, closed_form, descriptor, envelope, evaluate,
-                      fourier_window, parse_descriptor, parity, realize,
-                      shifted, window)
+from .windows import (Window, descriptor, envelope, evaluate, fourier_window,
+                      normal_form, parse_descriptor, parity, realize, shifted,
+                      window)
 from .zak import (ZakSurface, auto_truncation, verify_identities,
                   write_surface_csv, zak_point, zak_scaled, zak_surface,
                   zak_tail_bound)

@@ -26,7 +26,6 @@ ANGLE_GUARD = 1e-3
 _EXACT_ANGLE = 1e-12
 
 _SUPPORT_REL = 1e-14
-_CHUNK = 512
 
 
 def grid_points(extent=DEFAULT_EXTENT, step=DEFAULT_STEP):
@@ -81,70 +80,20 @@ def support_radius(f, rel=_SUPPORT_REL):
     return float(max(abs(pts[idx[0]]), abs(pts[idx[-1]])))
 
 
-def sinc_interpolate(f, where):
-    """Band-limited interpolation of a sampled function at arbitrary points.
-
-    Exact for functions band-limited below the grid Nyquist rate; our
-    Gaussian-decay windows are band-limited to machine precision.  Cost is
-    one full sinc kernel row per point; in bulk, :func:`upsample` once and
-    apply :func:`local_interpolate`'s 12-point stencil per point.
-    """
-    where = np.asarray(where, dtype=float)
-    flat = np.atleast_1d(where).ravel()
-    pts = f.points
-    out = np.empty(flat.size, dtype=complex)
-    for i0 in range(0, flat.size, _CHUNK):
-        block = flat[i0:i0 + _CHUNK]
-        ker = np.sinc((block[:, None] - pts[None, :]) / f.step)
-        out[i0:i0 + _CHUNK] = ker @ f.values
-    out = out.reshape(where.shape)
-    return out if where.ndim else complex(out[()])
-
-
-UPSAMPLE = 16
-STENCIL = 12
-
-_BARY_WEIGHTS = np.array([(-1.0) ** j * math.comb(STENCIL - 1, j)
-                          for j in range(STENCIL)])
-
-
-def upsample(values, factor=UPSAMPLE):
+def upsample(values, factor):
     """Spectral zero-padding interpolation onto a factor-times finer grid.
 
     Exact for band-limited content; the negligible boundary samples of
-    Gaussian-decay windows make the implicit periodization harmless.
+    Gaussian-decay windows make the implicit periodization harmless.  An odd
+    grid keeps its (n + 1) / 2 nonnegative and (n - 1) / 2 negative bins.
     """
     n = values.size
     m = n * factor
     spectrum = np.fft.fft(values)
     padded = np.zeros(m, dtype=complex)
-    padded[:n // 2] = spectrum[:n // 2]
-    padded[m - n // 2:] = spectrum[n // 2:]
+    padded[:n - n // 2] = spectrum[:n - n // 2]
+    padded[m - n // 2:] = spectrum[n - n // 2:]
     return np.fft.ifft(padded) * factor
-
-
-def local_interpolate(fine, fine_step, extent, where):
-    """Barycentric Lagrange interpolation on an oversampled grid.
-
-    A 12-point equispaced stencil on a 16x oversampled grid keeps the
-    error below 1e-13 for our band-limited windows; points outside the
-    grid evaluate to zero.
-    """
-    where = np.asarray(where, dtype=float)
-    flat = np.atleast_1d(where).ravel()
-    pos = (flat + extent) / fine_step
-    i0 = np.clip(np.floor(pos).astype(int) - (STENCIL // 2 - 1),
-                 0, fine.size - STENCIL)
-    idx = i0[:, None] + np.arange(STENCIL)[None, :]
-    rel = pos[:, None] - idx
-    exact = np.abs(rel) < 1e-9
-    terms = _BARY_WEIGHTS[None, :] / np.where(exact, 1.0, rel)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = np.sum(terms * fine[idx], axis=1) / np.sum(terms, axis=1)
-    out[np.any(exact, axis=1)] = fine[idx[exact]]
-    out[np.abs(flat) > extent] = 0.0
-    out = out.reshape(where.shape)
-    return out if where.ndim else complex(out[()])
 
 
 _SHIFT_LEAK_REL = 1e-9
@@ -222,7 +171,7 @@ def _pi_phase(m, num, den):
 def _dilation_kernel(a, n, step, extent):
     # The samples f(t_k / a) of the trigonometric interpolant of n samples,
     # whose spectrum S_j runs over j in [-(n // 2), n - n // 2) (as in
-    # upsample for even n), sit at the grid positions c + k / a with
+    # upsample), sit at the grid positions c + k / a with
     # c = (extent / step)(1 - 1 / a):
     #   n f(t_k / a) = sum_j S_j exp(2 pi i j (c + k / a) / n),
     # a chirp-z transform.  Through 2 j k = j^2 + k^2 - (k - j)^2 it is the
@@ -393,11 +342,16 @@ class Op:
     ``at(g, t)`` ((U g)(t) for pointwise U), ``is_identity()``,
     ``merge(right)`` ((op, c) with self . right = c op for the same kind),
     ``fourier(phase)`` ((op, phase c) with F . self = c op . F),
-    ``hermite_eigenvalue(n)`` and ``envelope_step(n, amp, scale, center)``
-    (the Gaussian envelope of U g from that of g, for g of degree n).
+    ``hermite_eigenvalue(n)``, ``envelope_step(n, amp, scale, center)``
+    (the Gaussian envelope of U g from that of g, for g of degree n) and
+    ``angle``: U is exp(i angle / 2) times the metaplectic operator of A that
+    maps exp(i pi tau t^2) to j^(-1/2) exp(i pi tau' t^2), j = A11 + A12 tau
+    (0 for dilation and chirp, the rotation angle in (-pi, pi] for FrFT and
+    Fourier, None for a shift, which is not metaplectic).
     """
 
     at = merge = fourier = hermite_eigenvalue = None
+    angle = 0.0
     keeps_parity = True  # U maps even/odd functions to even/odd functions
     keeps_real = False   # U maps real functions to real functions
 
@@ -482,6 +436,10 @@ class FrFT(Op):
     def matrix(self):
         return rotation(self.r)
 
+    @property
+    def angle(self):
+        return self.r + math.tau * math.floor(0.5 - self.r / math.tau)
+
     def apply(self, f):
         return apply_frft(self.r, f)
 
@@ -504,6 +462,7 @@ class TFShift(Op):
     omega: float
     tag = "tfshift"
     keeps_parity = False
+    angle = None
 
     def matrix(self):
         return np.eye(2)
@@ -536,6 +495,7 @@ class Fourier(Op):
     """The ordinary Fourier transform (angle pi/2 member of the family)."""
 
     tag = "fourier"
+    angle = 0.5 * math.pi
 
     def matrix(self):
         return np.array([[0.0, 1.0], [-1.0, 0.0]])

@@ -1,12 +1,15 @@
 """Symbolic window descriptions: a Hermite order plus a chain of operators.
 
-A window is evaluable in closed form whenever its chain contains only
-pointwise operators (dilation, chirp, time-frequency shift).  A fractional
-Fourier link forces evaluation through a sampled realization with
-band-limited interpolation, except when it acts directly on the bare Hermite
-base, where it collapses to the eigenvalue phase exp(-i n r).
+Every window evaluates in closed form.  Dilation, chirp and time-frequency
+shift act pointwise.  A chain with a fractional Fourier or Fourier link is
+first folded, from its leftmost such link rightward, into the normal form
+c pi(x, omega) Chirp(q) Dilation(a) h_n: each operator is metaplectic or a
+shift, so it maps that form to another one through its 2 x 2 matrix
+(:func:`normal_form`).  A fractional link on the bare Hermite base collapses
+to the eigenvalue phase exp(-i n r) already when the window is built.
 """
 
+import cmath
 import dataclasses
 import math
 from dataclasses import dataclass
@@ -15,13 +18,9 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import UnboundedWindow
-from .operators import (DEFAULT_EXTENT, DEFAULT_STEP, Op, SampledFunction,
-                        TFShift, UPSAMPLE, apply_chain, grid_points,
-                        local_interpolate, upsample)
+from .operators import (DEFAULT_EXTENT, DEFAULT_STEP, Chirp, Dilation, Op,
+                        SampledFunction, TFShift, grid_points)
 from .special import hermite, hermite_envelope_constant
-
-# error budget added to Zak tail bounds for interpolated (sampled) windows
-INTERPOLATION_BUDGET = 1e-9
 
 
 @dataclass(frozen=True)
@@ -64,9 +63,46 @@ def window(n, chain=(), phase=1.0):
         ops[i:i + 2] = [op]
 
 
-def closed_form(w):
-    """True when every chain link evaluates pointwise."""
-    return all(op.at is not None for op in w.chain)
+@lru_cache(maxsize=64)
+def normal_form(w):
+    """An equal window whose links are all pointwise.
+
+    That is w itself when its links are; otherwise its chain from the
+    leftmost FrFT or Fourier link on is folded into pi(x, omega) Chirp(q)
+    Dilation(a) and a phase, and the links left of it are kept.  The fold runs from the state c pi(x, omega) mu h_n with mu the metaplectic
+    operator that maps exp(-pi t^2) to exp(i pi tau t^2), starting at
+    (c, x, omega, tau) = (1, 0, 0, i).  A shift merges into pi(x, omega); any
+    other link of matrix [[A, B], [C, D]] and angle rho (:class:`Op`) sets
+    j = A + B tau, tau <- (C + D tau) / j, c <- c exp(i (rho / 2 - (n + 1/2)
+    arg j)), and moves pi(x, omega) past itself: (x, omega) <- A (x, omega)
+    with c <- c exp(i pi (x omega - x' omega')).  At the end q = Re tau and
+    a = (Im tau)^(-1/2).  Raises :class:`UnboundedWindow` when that
+    arithmetic over- or underflows.  Cached per window.
+    """
+    lo = next((i for i, op in enumerate(w.chain) if op.at is None), None)
+    if lo is None:
+        return w
+    c, x, omega, tau = 1.0 + 0.0j, 0.0, 0.0, 1j
+    try:
+        for op in reversed(w.chain[lo:]):
+            if op.angle is None:
+                shift, extra = op.merge(TFShift(x, omega))
+                c, x, omega = c * extra, shift.x, shift.omega
+                continue
+            (A, B), (C, D) = op.matrix().tolist()
+            j = A + B * tau
+            tau = (C + D * tau) / j
+            x1, omega1 = A * x + B * omega, C * x + D * omega
+            c *= cmath.exp(1j * (0.5 * op.angle - (w.n + 0.5) * cmath.phase(j)
+                                 + math.pi * (x * omega - x1 * omega1)))
+            x, omega = x1, omega1
+        a = tau.imag ** -0.5 if tau.imag > 0.0 else math.nan
+        tail = (TFShift(x, omega), Chirp(tau.real), Dilation(a))
+    except (ArithmeticError, ValueError):
+        tail = None
+    if tail is None or not cmath.isfinite(c):
+        raise UnboundedWindow("the normal form of the window over- or underflows a float")
+    return window(w.n, w.chain[:lo] + tail, w.phase * c)
 
 
 def _eval_pointwise(n, ops, t):
@@ -76,39 +112,28 @@ def _eval_pointwise(n, ops, t):
 
 
 def evaluate(w, t):
-    """Window values at the points t (closed form or interpolated)."""
+    """Window values at the points t, in closed form.
+
+    A window with a link that is not pointwise is evaluated through its
+    :func:`normal_form`.
+    """
     t = np.asarray(t, dtype=float)
-    if closed_form(w):
-        return w.phase * _eval_pointwise(w.n, w.chain, t)
-    fine, h = _fine_realization(w)
-    return local_interpolate(fine, h, DEFAULT_EXTENT, t)
-
-
-@lru_cache(maxsize=32)
-def _fine_realization(w):
-    # realize(w) exactly as _numeric_envelope calls it, to share its cache entry
-    return upsample(realize(w).values), DEFAULT_STEP / UPSAMPLE
+    if any(op.at is None for op in w.chain):
+        w = normal_form(w)
+    return w.phase * _eval_pointwise(w.n, w.chain, t)
 
 
 @lru_cache(maxsize=64)
 def realize(w, extent=DEFAULT_EXTENT, step=DEFAULT_STEP):
-    """Sampled realization of a window on a uniform grid.
+    """Samples of a window on a uniform grid, as a :class:`SampledFunction`.
 
-    The maximal pointwise suffix of the chain (all of it for a closed-form
-    window) is evaluated exactly and must be finite, else
-    :class:`UnboundedWindow`; the remaining operators (fractional Fourier
-    links and anything left of them) are applied numerically.
+    Raises :class:`UnboundedWindow` when a sample is not finite.  Cached.
     """
-    pts = grid_points(extent, step)
-    split = max((i for i, op in enumerate(w.chain) if op.at is None), default=-1)
-    suffix = w if split < 0 else Window(w.n, w.chain[split + 1:], 1.0 + 0.0j)
-    f = SampledFunction(evaluate(suffix, pts), step, extent)
+    with np.errstate(all="ignore"):
+        f = SampledFunction(evaluate(w, grid_points(extent, step)), step, extent)
     if not np.isfinite(f.values).all():
-        raise UnboundedWindow("the pointwise part of the window has non-finite samples")
-    if split < 0:
-        return f
-    f = apply_chain(w.chain[:split + 1], f)
-    return SampledFunction(w.phase * f.values, step, extent)
+        raise UnboundedWindow("the window has non-finite samples")
+    return f
 
 
 @dataclass(frozen=True)
@@ -119,81 +144,44 @@ class GaussianEnvelope:
     degree: int
     scale: float
     center: float
-    slack: float = 0.0  # absolute floor added for interpolated windows
 
     def __call__(self, t):
         u = np.abs(np.asarray(t, float) - self.center)
         return self.amplitude * (1.0 + u) ** self.degree \
-            * np.exp(-math.pi * u * u / (self.scale * self.scale)) + self.slack
+            * np.exp(-math.pi * u * u / (self.scale * self.scale))
 
     def tail(self, dist):
-        """Sum of the decaying envelope at integer distances >= dist from the center.
-
-        The interpolation slack floor is not included; callers add
-        :attr:`floor` once to reported tail bounds.
-        """
+        """Sum of the envelope at integer distances >= dist from the center."""
         d = max(float(dist), 0.0)
         j = d + np.arange(0.0, 81.0)
-        vals = self.amplitude * (1.0 + j) ** self.degree \
-            * np.exp(-math.pi * j * j / (self.scale * self.scale))
+        s2 = self.scale * self.scale
+        # a scale whose square underflows leaves only the center term
+        decay = np.exp(-math.pi * j * j / s2) if s2 > 0.0 else (j == 0.0) * 1.0
+        vals = self.amplitude * (1.0 + j) ** self.degree * decay
         # superexponential decay: last kept term dominates everything beyond
         return 2.0 * (float(np.sum(vals)) + float(vals[-1]))
-
-    @property
-    def floor(self):
-        """Absolute uncertainty floor carried by interpolated windows."""
-        return 2.0 * self.slack
 
 
 @lru_cache(maxsize=64)
 def envelope(w):
     """Certified Gaussian-decay envelope of a window.
 
-    Closed-form chains propagate the analytic Hermite bound through each
-    operator; interpolated windows are certified numerically from their
-    sampled realization.  :class:`UnboundedWindow` is raised when the bound
-    overflows or no Gaussian profile dominates the samples.  Built once per
-    distinct window and cached.
+    The analytic Hermite bound is propagated through each link of the
+    window's :func:`normal_form`.  :class:`UnboundedWindow` is raised when the
+    bound overflows.  Built once per distinct window and cached.
     """
-    if closed_form(w):
-        amp = hermite_envelope_constant(w.n)
-        scale, center = 1.0, 0.0
-        try:
-            for op in reversed(w.chain):
-                amp, scale, center = op.envelope_step(w.n, amp, scale, center)
-        except OverflowError:
-            amp = math.inf
-        if not math.isfinite(amp):
-            raise UnboundedWindow("the closed-form envelope constant overflows a float")
-        return GaussianEnvelope(amp, w.n, scale, center)
-    return _numeric_envelope(w)
-
-
-def _numeric_envelope(w):
-    f = realize(w)
-    pts = f.points
-    mag = np.abs(f.values)
-    peak = mag.max()
-    if peak == 0.0:
-        raise UnboundedWindow("window realization is identically zero")
-    weights = mag * mag
-    center = float(np.sum(pts * weights) / np.sum(weights))
-    sigma = math.sqrt(float(np.sum((pts - center) ** 2 * weights) / np.sum(weights)))
-    bulk = mag > 1e-13 * peak
-    u = np.abs(pts - center)
-    for factor in (1.5, 2.0, 3.0, 4.0):
-        scale = max(math.sqrt(math.tau) * sigma * factor, 0.5)
-        profile = (1.0 + u) ** w.n * np.exp(-math.pi * u * u / (scale * scale))
-        amp = float(np.max(mag[bulk] / profile[bulk])) * 1.5
-        # accept once the fit is not driven by the edge of the bulk region
-        peak_at = int(np.argmax(mag / np.maximum(profile, 1e-300) * bulk))
-        edge = u[bulk].max()
-        if u[peak_at] < 0.9 * edge and scale < f.extent / 2.0:
-            boundary = float(max(mag[0], mag[-1]))
-            return GaussianEnvelope(amp, w.n, scale, center,
-                                    slack=boundary + INTERPOLATION_BUDGET)
-    raise UnboundedWindow(
-        "no Gaussian envelope certified for the sampled window realization")
+    if any(op.at is None for op in w.chain):
+        w = normal_form(w)
+    amp = hermite_envelope_constant(w.n)
+    scale, center = 1.0, 0.0
+    try:
+        for op in reversed(w.chain):
+            amp, scale, center = op.envelope_step(w.n, amp, scale, center)
+    except OverflowError:
+        amp = math.inf
+    if not math.isfinite(amp):
+        raise UnboundedWindow("the closed-form envelope constant overflows a float")
+    return GaussianEnvelope(amp, w.n, scale, center)
 
 
 def parity(w):

@@ -1,9 +1,11 @@
 """The Zak transform of windows: point values, grid surfaces, identities.
 
 Z f(x, omega) = sum_k f(k - x) exp(2 pi i omega k), truncated with a
-certified Gaussian-envelope tail bound.  Grids cover the half-open
-fundamental domain [0, 1)^2 with nodes at i/N, so structural zeros at
-small-denominator rationals land exactly on nodes.
+certified Gaussian-envelope tail bound.  Every window is summed from its
+closed form (:func:`gaborkit.windows.evaluate`), so the bound is the
+envelope's tail alone.  Grids cover the half-open fundamental domain
+[0, 1)^2 with nodes at i/N, so structural zeros at small-denominator
+rationals land exactly on nodes.
 """
 
 import json
@@ -15,8 +17,8 @@ import numpy as np
 
 from .errors import PoissonUnavailable, UnboundedWindow
 from .operators import Fourier
-from .windows import (Window, closed_form, descriptor, envelope, evaluate,
-                      fourier_window, is_real, parity, shifted, window)
+from .windows import (Window, descriptor, envelope, evaluate, fourier_window,
+                      is_real, parity, shifted, window)
 
 _TRUNC_TOL = 1e-14
 TRUNC_MIN = 8
@@ -47,15 +49,15 @@ def _truncation(w, trunc, *scale):
 
 
 def zak_tail_bound(w, trunc, scale=1.0):
-    """Certified bound on the dropped series tail for truncation trunc.
-
-    For interpolated windows the bound includes the interpolation budget.
-    """
-    env = envelope(w)
-    return env.tail(scale * (trunc - 1)) + env.floor
+    """Certified bound on the dropped series tail for truncation trunc."""
+    return envelope(w).tail(scale * (trunc - 1))
 
 
-def _finite(vals):
+def _finite_values(w, t):
+    # window values at t, which must all be finite; the check reports what
+    # over- or underflowed on the way, so numpy's warnings are silenced
+    with np.errstate(all="ignore"):
+        vals = evaluate(w, t)
     if not np.isfinite(vals).all():
         raise UnboundedWindow("the window has non-finite values on the Zak sum's points")
     return vals
@@ -82,7 +84,7 @@ def zak_point(w, x, omega, trunc=None):
     k_lo = math.floor(float(x_b.min()) + center) - K
     k_hi = math.ceil(float(x_b.max()) + center) + K
     ks = np.arange(k_lo, k_hi + 1, dtype=float)
-    vals = _finite(evaluate(w, ks[None, :] - x_b.ravel()[:, None]))
+    vals = _finite_values(w, ks[None, :] - x_b.ravel()[:, None])
     phases = np.exp(2j * np.pi * om_b.ravel()[:, None] * ks[None, :])
     out = np.sum(vals * phases, axis=1).reshape(x_b.shape)
     return complex(out[(0,) * out.ndim]) if scalar else out
@@ -115,7 +117,7 @@ def zak_surface(w, resolution, trunc=None):
     k_lo, k_hi = math.floor(center) - K, math.ceil(center) + 1 + K
     ks = np.arange(k_lo, k_hi + 1, dtype=float)
     xs = np.arange(N, dtype=float) / N
-    vals = _finite(evaluate(w, ks[None, :] - xs[:, None]))  # N x nk
+    vals = _finite_values(w, ks[None, :] - xs[:, None])  # N x nk
     phases = np.exp(2j * np.pi * np.outer(ks, np.arange(N) / N))  # nk x N
     return ZakSurface(values=vals @ phases, window_desc=w, resolution=N,
                       truncation=K, tail_bound=zak_tail_bound(w, K))
@@ -159,7 +161,8 @@ def verify_identities(w, sample_points, shifts=None, poisson="closed", trunc=Non
     poisson : {"closed", "frft", "skip"}
         "closed" uses the closed-form Fourier transform of the window and
         raises :class:`PoissonUnavailable` if there is none; "frft" falls
-        back to a sampled Fourier transform; "skip" omits the check.
+        back to the window behind a Fourier link, evaluated through its
+        normal form; "skip" omits the check.
 
     Returns
     -------
@@ -218,7 +221,12 @@ def _csv_rows(values, lead):
 
 
 def write_surface_csv(surface, csv_path, meta_path=None):
-    """Write a surface as CSV rows x,omega,re,im,abs plus a JSON sidecar."""
+    """Write a surface as CSV rows x,omega,re,im,abs plus a JSON sidecar.
+
+    The sidecar holds the keys ``window`` (:func:`descriptor`),
+    ``resolution``, ``truncation`` and ``tail_bound`` (the certified bound on
+    the dropped series tail).
+    """
     N = surface.resolution
     grid = [f"{g!r}," for g in (np.arange(N) / N).tolist()]
     with open(csv_path, "w", encoding="utf-8", newline="\n") as fh:
@@ -232,7 +240,6 @@ def write_surface_csv(surface, csv_path, meta_path=None):
             "resolution": surface.resolution,
             "truncation": surface.truncation,
             "tail_bound": float(surface.tail_bound),
-            "interpolated": not closed_form(surface.window_desc),
         }
         with open(meta_path, "w", encoding="utf-8", newline="\n") as fh:
             json.dump(meta, fh, indent=2, sort_keys=True)

@@ -309,9 +309,23 @@ def test_non_finite_closed_form_values_exit_code(tmp_path, capsys, command):
     # t / a overflows in the dilation, and the chirp turns h_0(inf) = 0 into NaN
     chain = '[{"op": "dilation", "a": 4e-210}, {"op": "chirp", "q": 1.0}]'
     out = tmp_path / "x"
-    with np.errstate(all="ignore"):
-        assert run([command, "--n", "8", "--chain", chain, "--out", str(out)]) == 3
-    assert "non-finite values" in capsys.readouterr().err
+    # warning-free: numpy RuntimeWarnings fail the suite
+    assert run([command, "--n", "8", "--chain", chain, "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "non-finite values" in err and "Warning" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["zak-surface", "frame-bounds", "frft-apply"])
+def test_dilation_under_frft_that_overflows_exit_code(tmp_path, capsys, command):
+    # the FrFT acts on h_2(t / a), which the normal form c pi(x, omega)
+    # Chirp(q) Dilation(a') h_2 cannot hold: 1 / a overflows a float
+    chain = '[{"op": "frft", "r": 0.5}, {"op": "dilation", "a": 5e-324}]'
+    out = tmp_path / "x"
+    argv = [command, "--hermite", "2", "--chain", chain, "--out", str(out)]
+    argv += ["--angle", "0.4"] if command == "frft-apply" else ["--n", "8"]
+    assert run(argv) == 3
+    assert "normal form of the window over- or underflows" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -320,10 +334,10 @@ def test_non_finite_closed_form_window_exit_code_in_frft_apply(tmp_path, capsys)
     # and h_2(t / a) is NaN wherever t / a overflows
     chain = '[{"op": "dilation", "a": 5e-324}, {"op": "frft", "r": 0.5}]'
     out = tmp_path / "x.csv"
-    with np.errstate(all="ignore"):
-        assert run(["frft-apply", "--hermite", "2", "--angle", "0.4",
-                    "--chain", chain, "--out", str(out)]) == 3
-    assert "non-finite samples" in capsys.readouterr().err
+    assert run(["frft-apply", "--hermite", "2", "--angle", "0.4",
+                "--chain", chain, "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "non-finite samples" in err and "Warning" not in err
     assert not out.exists()
 
 
@@ -372,6 +386,17 @@ def test_tilted_valley_job_reports_zeros_in_unit_square(tmp_path, capsys):
     zeros = json.loads(out.read_text())["zeros"]
     assert len(zeros) == 5
     assert all(0.0 <= z[k] < 1.0 for z in zeros for k in ("x", "omega"))
+
+
+def test_tilted_valley_job_reports_parity_zeros_at_the_rationals(tmp_path):
+    # the odd window's three parity zeros are reported exactly at the
+    # rationals, not just off them
+    out = tmp_path / "report.json"
+    chain = '[{"op": "frft", "r": 0.3}, {"op": "chirp", "q": 0.64}]'
+    assert run(["frame-bounds", "--hermite", "1", "--chain", chain, "--set", "Z2",
+                "--n", "64", "--out", str(out)]) == 0
+    zeros = {(z["x"], z["omega"]) for z in json.loads(out.read_text())["zeros"]}
+    assert {(0.0, 0.0), (0.5, 0.0), (0.0, 0.5)} <= zeros
 
 
 @pytest.mark.parametrize("flags, conf", [

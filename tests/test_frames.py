@@ -10,7 +10,7 @@ from gaborkit.frames import (GaborSystem, equivalence_transport, find_zak_zeros,
                              theta_zero_certificate)
 from gaborkit.lattices import PRESETS, point_set
 from gaborkit.operators import Chirp, Dilation, FrFT, TFShift, project_isomorphism
-from gaborkit.windows import closed_form, evaluate, window
+from gaborkit.windows import evaluate, normal_form, window
 from gaborkit.zak import zak_point, zak_surface
 
 SQRT2 = math.sqrt(2.0)
@@ -225,19 +225,20 @@ def test_transport_by_rational_shift():
 
 
 def test_transport_through_interpolated_windows():
-    # chirp before the fractional link: the transported window only
-    # evaluates through its sampled realization, yet the bounds must agree
+    # chirp before the fractional link: the transported window evaluates
+    # through its normal form, and the bounds must agree with the system
+    # moved onto the point set
     w = window(2, (FrFT(0.5), Chirp(0.8)))
-    sys_sampled = GaborSystem(windows=[w], point_set=PRESETS["Z2"])
-    rep_sampled = frame_bounds(sys_sampled, 64)
+    sys_folded = GaborSystem(windows=[w], point_set=PRESETS["Z2"])
+    rep_folded = frame_bounds(sys_folded, 64)
     from gaborkit.operators import project_isomorphism
     U = project_isomorphism((FrFT(0.5), Chirp(0.8)))
     sys_closed = GaborSystem(windows=[window(2)],
                              point_set=point_set(np.linalg.inv(U)))
     rep_closed = frame_bounds(reduce_to_multiwindow(sys_closed), 64)
-    assert abs(rep_sampled.B_est - rep_closed.B_est) <= 2e-6
-    assert abs(rep_sampled.A_est - rep_closed.A_est) <= 2e-6
-    assert rep_sampled.verdict == rep_closed.verdict == "NotFrame"
+    assert abs(rep_folded.B_est - rep_closed.B_est) <= 2e-6
+    assert abs(rep_folded.A_est - rep_closed.A_est) <= 2e-6
+    assert rep_folded.verdict == rep_closed.verdict == "NotFrame"
 
 
 def test_verdict_gating_is_exclusive():
@@ -297,8 +298,8 @@ def counting_zak_point(monkeypatch):
 
 
 def test_tilted_valley_zeros_found_with_bounded_work(monkeypatch):
-    # h_1 after FrFT(0.3) and Chirp(0.64): an interpolated window whose two
-    # non-rational zeros sit in tilted valleys of the objective
+    # h_1 after FrFT(0.3) and Chirp(0.64): a window folded into its normal
+    # form, whose two non-rational zeros sit in tilted valleys of the objective
     chain = (FrFT(0.3), Chirp(0.64))
     calls = counting_zak_point(monkeypatch)
     report = frame_bounds(GaborSystem([window(1, chain)], PRESETS["Z2"]), 64)
@@ -309,7 +310,7 @@ def test_tilted_valley_zeros_found_with_bounded_work(monkeypatch):
     U = project_isomorphism(chain)
     closed = reduce_to_multiwindow(
         GaborSystem([window(1)], point_set(np.linalg.inv(U)))).windows[0]
-    assert closed_form(closed)
+    assert normal_form(closed) == closed
     ks = np.arange(-40.0, 41.0)
     for x0, om0 in ((0.389505449, 0.951266236), (0.610494551, 0.048733764)):
         z = min(report.zeros, key=lambda z: math.hypot(z.x - x0, z.omega - om0))
@@ -361,7 +362,7 @@ def test_small_rational_rule():
 
 
 def test_snap_evaluates_each_point_once(monkeypatch):
-    # three polished candidates near parity zeros of an interpolated h_1;
+    # three polished candidates near parity zeros of a folded h_1;
     # each costs one residual evaluation and at most three snap candidates
     from gaborkit import frames
     from gaborkit.frames import _torus_dist

@@ -8,22 +8,17 @@ import pytest
 
 from gaborkit import operators
 from gaborkit.errors import ShiftExceedsGrid, SingularAngle, TruncationTooCoarse
-from gaborkit.operators import (UPSAMPLE, Chirp, Dilation, Fourier, FrFT,
-                                TFShift, apply_chain, apply_chirp,
-                                apply_dilation, apply_frft, apply_tf_shift,
-                                apply_tf_shifts, local_interpolate,
+from gaborkit.operators import (Chirp, Dilation, Fourier, FrFT, TFShift,
+                                apply_chain, apply_chirp, apply_dilation,
+                                apply_frft, apply_tf_shift, apply_tf_shifts,
                                 matched_phase_residual, project_isomorphism,
-                                sinc_interpolate, support_radius, upsample)
+                                support_radius)
+from gaborkit.special import hermite
 from gaborkit.windows import evaluate, realize, window
 
 
 def l2(values, step=1.0 / 128):
     return math.sqrt(float(np.sum(np.abs(values) ** 2)) * step)
-
-
-def fine_interpolate(f, where):
-    # the path windows.evaluate takes for interpolated windows
-    return local_interpolate(upsample(f.values), f.step / UPSAMPLE, f.extent, where)
 
 
 def test_zero_shift_is_identity():
@@ -142,6 +137,16 @@ def test_dilation_on_an_odd_grid_matches_closed_form():
                          extent=6.0, step=12.0 / 1535)
     expected = np.exp(-np.pi * (f.points / 1.3) ** 2) / math.sqrt(1.3)
     assert np.max(np.abs(apply_dilation(1.3, f).values - expected)) <= 1e-14
+
+
+@pytest.mark.parametrize("n", [0, 3])
+def test_frft_refines_an_odd_grid(n):
+    # 1535 samples: r = 0.05 refines the quadrature grid 4x, and the odd
+    # spectrum keeps its 768 nonnegative and 767 negative bins
+    f = operators.sample(lambda t: hermite(n, t), extent=6.0, step=12.0 / 1535)
+    g = apply_frft(0.05, f)
+    defect = np.linalg.norm(g.values - np.exp(-0.05j * n) * f.values)
+    assert defect <= 1e-7 * np.linalg.norm(f.values)
 
 
 @pytest.mark.parametrize("a", [0.7, 1.3, 5e-324, 1e300])
@@ -315,22 +320,6 @@ def test_isomorphism_projection_examples():
         @ project_isomorphism(Dilation(1.8))
     assert np.allclose(m, expected, atol=1e-15)
     assert abs(np.linalg.det(m) - 1.0) < 1e-14
-
-
-def test_resample_matches_sinc():
-    f = realize(window(4))
-    rng = np.random.RandomState(33)
-    where = rng.uniform(-9.0, 9.0, 500)
-    assert np.max(np.abs(fine_interpolate(f, where) - sinc_interpolate(f, where))) < 1e-12
-
-
-def test_interpolators_take_a_scalar_point():
-    f = realize(window(3))
-    for interp in (fine_interpolate, sinc_interpolate):
-        value = interp(f, 0.3)
-        assert isinstance(value, complex)
-        assert value == interp(f, np.array([0.3]))[0]
-    assert fine_interpolate(f, 12.5) == 0.0
 
 
 def test_support_radius():

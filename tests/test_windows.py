@@ -4,12 +4,12 @@ import math
 import numpy as np
 import pytest
 
-from gaborkit import windows
+from gaborkit.errors import UnboundedWindow
 from gaborkit.operators import (Chirp, Dilation, Fourier, FrFT, TFShift,
-                                apply_fourier, sinc_interpolate)
-from gaborkit.windows import (closed_form, descriptor, envelope, evaluate,
-                              fourier_window, is_real, parity,
-                              parse_descriptor, realize, shifted, window)
+                                apply_chain, apply_fourier)
+from gaborkit.windows import (descriptor, envelope, evaluate, fourier_window,
+                              is_real, normal_form, parity, parse_descriptor,
+                              realize, shifted, window)
 
 
 def test_trailing_frft_becomes_eigenvalue_phase():
@@ -52,19 +52,39 @@ def test_shift_merge_carries_commutation_phase():
 
 
 def test_closed_form_detection():
-    assert closed_form(window(2, (Dilation(2.0), Chirp(0.3), TFShift(1.0, 2.0))))
-    assert not closed_form(window(2, (FrFT(0.5), Chirp(0.3))))
-    # FrFT on the bare base simplifies away, so this stays closed form
-    assert closed_form(window(2, (Chirp(0.3), FrFT(0.5))))
+    # pointwise chains are their own normal form; an FrFT or Fourier link is
+    # folded, with the pointwise links left of it kept as they are
+    pointwise = window(2, (Dilation(2.0), Chirp(0.3), TFShift(1.0, 2.0)))
+    assert normal_form(pointwise) == pointwise
+    # FrFT on the bare base simplifies away, so this stays pointwise
+    bare = window(2, (Chirp(0.3), FrFT(0.5)))
+    assert normal_form(bare) == bare
+    folded = normal_form(window(2, (Dilation(0.5), FrFT(0.5), Chirp(0.3))))
+    assert [type(op) for op in folded.chain] == [Dilation, Chirp, Dilation]
+    assert folded.chain[0] == Dilation(0.5)
+    shifted_fold = normal_form(window(1, (Fourier(), TFShift(0.5, 0.25))))
+    assert shifted_fold.chain[0] == TFShift(0.25, -0.5)
+    assert all(op.at is not None for op in shifted_fold.chain)
 
 
-def test_interpolated_evaluation_matches_sinc():
-    w = window(2, (FrFT(0.5), Chirp(0.8)))
-    rng = np.random.RandomState(3)
-    ts = rng.uniform(-8.0, 8.0, 800)
-    fast = evaluate(w, ts)
-    slow = sinc_interpolate(realize(w), ts)
-    assert np.max(np.abs(fast - slow)) < 1e-12
+def test_folded_evaluation_matches_quadrature():
+    # the normal form against the FrFT quadrature applied to sampled h_n
+    for w in (window(2, (FrFT(0.5), Chirp(0.8))),
+              window(3, (Chirp(-0.4), FrFT(2.2), TFShift(0.7, -0.3), Dilation(1.3))),
+              window(1, (Fourier(), Chirp(0.5), FrFT(-2.5), Dilation(0.8)))):
+        f = realize(window(w.n))
+        numeric = w.phase * apply_chain(w.chain, f).values
+        assert np.max(np.abs(evaluate(w, f.points) - numeric)) < 1e-10
+
+
+@pytest.mark.parametrize("chain", [
+    (FrFT(0.5), Dilation(5e-324)),
+    (FrFT(0.5), Dilation(1e-200)),
+    (Fourier(), Chirp(1.0), Dilation(1e300)),
+], ids=["subnormal", "tiny", "huge"])
+def test_fold_that_overflows_raises_unbounded_window(chain):
+    with pytest.raises(UnboundedWindow, match="normal form"):
+        normal_form(window(2, chain))
 
 
 def test_realize_matches_closed_form():
@@ -97,11 +117,12 @@ def test_envelope_dominates_closed_form_windows():
         assert np.all(np.abs(evaluate(w, t)) <= env(t) + 1e-15)
 
 
-def test_envelope_dominates_interpolated_window():
-    w = window(2, (FrFT(0.5), Chirp(0.8)))
-    env = envelope(w)
-    f = realize(w)
-    assert np.all(np.abs(f.values) <= env(f.points) + 1e-12)
+def test_envelope_dominates_folded_window():
+    t = np.linspace(-10.0, 10.0, 3001)
+    for w in (window(2, (FrFT(0.5), Chirp(0.8))),
+              window(4, (TFShift(1.0, 0.5), FrFT(1.1), Dilation(0.6)))):
+        env = envelope(w)
+        assert np.all(np.abs(evaluate(w, t)) <= env(t) + 1e-15)
 
 
 def test_operator_kind_is_part_of_window_identity():
@@ -148,14 +169,16 @@ def test_parse_descriptor_rejects_unknown_operator_keys(entry, key):
         parse_descriptor({"hermite": 1, "chain": [entry]})
 
 
-def test_each_interpolated_window_is_realized_once():
-    # the envelope and the interpolation of a window share one realization
+def test_each_fractional_window_is_folded_once():
+    # the envelope and every evaluation of a window share one fold, and no
+    # window is sampled
     from gaborkit.frames import GaborSystem, frame_bounds, reduce_to_multiwindow
     from gaborkit.lattices import PRESETS
     from gaborkit.zak import auto_truncation
     w = window(1, (FrFT(0.8), Chirp(0.7)))
     system = reduce_to_multiwindow(GaborSystem([w], PRESETS["Z2-union-half"]))
-    for cached in (realize, envelope, auto_truncation, windows._fine_realization):
+    for cached in (realize, envelope, auto_truncation, normal_form):
         cached.cache_clear()
     frame_bounds(system, 32)
-    assert realize.cache_info().misses == len(set(system.windows)) == 2
+    assert normal_form.cache_info().misses == len(set(system.windows)) == 2
+    assert realize.cache_info().misses == 0

@@ -187,8 +187,8 @@ def test_at_least_one_zero_proxy():
 
 
 def test_interpolated_window_satisfies_identities():
-    # a fractional link after a chirp forces the sampled route; the
-    # structural identities must survive interpolation
+    # a fractional link after a chirp is folded into the normal form; the
+    # structural identities must hold for its values
     w = window(2, (FrFT(0.5), Chirp(0.8)))
     assert any(isinstance(op, FrFT) for op in w.chain)
     rng = np.random.RandomState(21)
@@ -199,29 +199,24 @@ def test_interpolated_window_satisfies_identities():
     assert report["shift_covariance"] <= 1e-9
 
 
-def test_envelope_and_truncation_built_once_per_window(monkeypatch):
-    # polishing evaluates the Zak transform of an interpolated window
-    # hundreds of times; its envelope is certified once per window
-    built = []
-    numeric_envelope = windows._numeric_envelope
-
-    def counting(w):
-        built.append(w)
-        return numeric_envelope(w)
-
-    monkeypatch.setattr(windows, "_numeric_envelope", counting)
-    envelope.cache_clear()
-    auto_truncation.cache_clear()
+def test_envelope_and_truncation_built_once_per_window():
+    # polishing evaluates the Zak transform of a folded window many times;
+    # its fold, envelope and truncation are built once per window
+    cached = (windows.normal_form, envelope, auto_truncation)
+    for fn in cached:
+        fn.cache_clear()
     w = window(0, (FrFT(0.5), Chirp(0.7)))
     system = reduce_to_multiwindow(GaborSystem(windows=[w], point_set=PRESETS["Z2"]))
     frame_bounds(system, resolution=32)
-    assert len(built) == len(set(system.windows)) == 1
+    assert [fn.cache_info().misses for fn in cached] \
+        == [len(set(system.windows))] * 3 == [1] * 3
     env, K = envelope(w), auto_truncation(w)
     envelope.cache_clear()
     auto_truncation.cache_clear()
     assert envelope(w) == env
     assert auto_truncation(w) == K
-    assert len(built) == 2
+    # the rebuilt envelope found the fold in its cache
+    assert windows.normal_form.cache_info().misses == 1
 
 
 def test_surface_csv_writer(tmp_path):
@@ -288,14 +283,14 @@ def test_zak_point_rejects_non_finite_arguments(x, omega, name):
 
 def test_non_finite_window_values_raise_unbounded_window():
     # closed form, but t / a overflows and the chirp makes h_0(inf) = 0 NaN
+    # (and warning-free: numpy RuntimeWarnings fail the suite)
     w = window(0, (Dilation(4e-210), Chirp(1.0)))
-    with np.errstate(all="ignore"):
-        with pytest.raises(UnboundedWindow, match="non-finite values"):
-            zak_surface(w, 8)
-        with pytest.raises(UnboundedWindow, match="non-finite values"):
-            zak_point(w, 0.25, 0.5)
-        with pytest.raises(UnboundedWindow, match="non-finite values"):
-            zak_point(w, np.array([0.0, 0.5]), 0.5)
+    with pytest.raises(UnboundedWindow, match="non-finite values"):
+        zak_surface(w, 8)
+    with pytest.raises(UnboundedWindow, match="non-finite values"):
+        zak_point(w, 0.25, 0.5)
+    with pytest.raises(UnboundedWindow, match="non-finite values"):
+        zak_point(w, np.array([0.0, 0.5]), 0.5)
 
 
 @pytest.mark.parametrize("trunc", [0, -5])

@@ -390,7 +390,7 @@ def main(argv=None):
     except GaborError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
-    except (OSError, ValueError) as exc:  # JSONDecodeError is a ValueError
+    except (OSError, ValueError, MemoryError) as exc:  # JSONDecodeError is a ValueError
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
 

@@ -3,10 +3,10 @@
 A system over a reducible point set is first rewritten as a multi-window
 system over the integer lattice; the frame bounds are then the extrema of
 the multi-window Zak objective sum_m |Z g_m|^2 on the fundamental domain.
-The grid stage holds the N x N objective and two N x N float buffers, which
-every whole-grid pass (squared moduli, slacks, square root, 3 x 3 torus
-minima) overwrites in place, and one complex Zak surface at a time before
-the second buffer exists; the last pass gives the boolean candidate mask.
+The grid stage holds the N x N objective F (8N^2 bytes) and one tile of
+whole rows at a time (at most 2^14 values): F is summed from row tiles of
+the Zak surfaces, then one pass over tiles padded with a torus halo gives
+the slacks of F and of its square root and the 3 x 3 local minima.
 Candidate grid minima are refined together by damped Newton steps on batched
 Zak values (to a relative gain of 1e-12); one batched evaluation then snaps
 each coordinate to a rational of denominator at most 8 within 1e-6 where
@@ -26,7 +26,7 @@ from .lattices import (coset_split, enumerate_points, iwasawa_factor,
 from .operators import Chirp, Dilation, FrFT, TFShift, project_isomorphism
 from .special import theta3
 from .windows import Window, evaluate, window
-from .zak import zak_point, zak_surface
+from .zak import _surface_tiles, _tile_rows, zak_point
 
 NOT_FRAME = "NotFrame"
 LIKELY_FRAME = "LikelyFrame"
@@ -249,48 +249,22 @@ def _snap(windows, pts, trunc):
             in zip(V[rows, pick].tolist(), F[rows, pick].tolist())]
 
 
-# The whole-grid passes below run over flattened C-contiguous grids, where a
-# step along axis 0 is a row and a step along axis 1 one element; each pass
-# is then one contiguous slice operation, and the nodes whose neighbour wraps
-# around the torus are redone from the first and last row or column.
-
-def _torus_min3(src, pair, out, axis):
-    # out = min(src[i - 1], src[i], src[i + 1]) along axis, on the torus, by
-    # way of pair[i] = min(src[i - 1], src[i]); src is read in full before
-    # out is written, so out may be src
-    step = src.shape[1] if axis == 0 else 1
-    s, p, o = src.reshape(-1), pair.reshape(-1), out.reshape(-1)
-    sa, pa, oa = (src, pair, out) if axis == 0 else (src.T, pair.T, out.T)
-    np.minimum(s[:-step], s[step:], out=p[step:])
-    np.minimum(sa[-1], sa[0], out=pa[0])
-    np.minimum(p[:-step], p[step:], out=o[:-step])
-    np.minimum(pa[-1], pa[0], out=oa[-1])
+def _padded(F, i0, i1):
+    # rows i0 .. i1 - 1 of F with one torus halo row and column on each side
+    rows = F.take(np.arange(i0 - 1, i1 + 1) % len(F), axis=0)
+    return np.concatenate((rows[:, -1:], rows, rows[:, :1]), axis=1)
 
 
-def _local_minima_mask(F, threshold=np.inf, scratch=None):
-    """Nodes where F is at or below threshold and at or below the minimum of
-    its 3 x 3 torus neighbourhood (taken over rows and then over columns).
-    scratch is a pair of C-contiguous arrays shaped like F, overwritten;
-    allocated when None."""
-    pair, m = (np.empty(F.shape), np.empty(F.shape)) if scratch is None else scratch
-    _torus_min3(F, pair, m, 0)
-    _torus_min3(m, pair, m, 1)
-    # F <= min(m, t) exactly when F <= m and F <= t
-    return F <= np.minimum(m, threshold, out=m)
+def _local_minima_mask(P):
+    """Inner nodes of a padded tile P at or below their 3 x 3 neighbourhood."""
+    m = np.minimum(np.minimum(P[:-2], P[1:-1]), P[2:])
+    return P[1:-1, 1:-1] <= np.minimum(np.minimum(m[:, :-2], m[:, 1:-1]), m[:, 2:])
 
 
-def _grid_slack(F, scratch=None):
-    """Largest step |F[i] - F[i - 1]| between torus neighbours along either
-    grid axis.  scratch is a C-contiguous array shaped like F, overwritten;
-    allocated when None."""
-    d = np.empty(F.shape) if scratch is None else scratch
-    f, flat = F.reshape(-1), d.reshape(-1)
-    steps = []
-    for step, src, diff in ((F.shape[1], F, d), (1, F.T, d.T)):
-        np.subtract(f[step:], f[:-step], out=flat[step:])
-        np.subtract(src[0], src[-1], out=diff[0])
-        steps.append(float(np.max(np.abs(d, out=d))))
-    return max(steps)
+def _grid_slack(P):
+    """Largest step |F[i] - F[i - 1]| along either axis into an inner node of P."""
+    steps = (P[1:-1, 1:-1] - before for before in (P[:-2, 1:-1], P[1:-1, :-2]))
+    return max(float(np.abs(d, out=d).max()) for d in steps)
 
 
 def _unit(v):
@@ -306,23 +280,27 @@ def _torus_dist(a, b):
 
 def _grid_candidates(windows, N, trunc):
     """The grid stage of the zero search: extrema and slacks of the objective
-    F = sum_m |Z g_m|^2 on the N x N grid, and the candidate nodes.  Every
-    whole-grid pass writes into F or one of two N x N float buffers."""
-    F, buf = np.zeros((N, N)), np.empty((N, N))
+    F = sum_m |Z g_m|^2 on the N x N grid, and the candidate nodes.  F, the
+    only N x N array, is summed from row tiles and read in padded tiles."""
+    F = np.zeros((N, N))  # first, so that a grid too large fails at once
     for g in windows:
-        np.abs(zak_surface(g, N, trunc).values, out=buf)
-        F += np.multiply(buf, buf, out=buf)
+        for i0, tile in _surface_tiles(g, N, trunc):
+            tile = np.abs(tile)  # the complex tile is freed here
+            F[i0:i0 + len(tile)] += np.multiply(tile, tile, out=tile)
     A_grid, B_grid = float(F.min()), float(F.max())
-    slack = _grid_slack(F, buf)
-    # the second buffer is made only once no complex surface is held
-    amp = np.sqrt(F)
-    amp_slack = _grid_slack(amp, buf)
+    slack, amp_slack, minima = 0.0, 0.0, []
+    rows = _tile_rows(N)
+    for i0 in range(0, N, rows):
+        P = _padded(F, i0, min(i0 + rows, N))
+        slack = max(slack, _grid_slack(P))
+        amp_slack = max(amp_slack, _grid_slack(np.sqrt(P)))
+        minima.append(i0 * N + np.flatnonzero(_local_minima_mask(P)))
     # candidate nodes: local minima low enough to hide a zero of the
     # amplitude within one grid cell (the global minimum always qualifies)
     threshold = max(3.0 * A_grid, (4.0 * amp_slack) ** 2, 1e-24)
+    idx = np.concatenate(minima)
     # the row-major (i, j) of each candidate, as np.argwhere gives them
-    cand = np.stack(np.divmod(
-        np.flatnonzero(_local_minima_mask(F, threshold, (buf, amp))), N), axis=1)
+    cand = np.stack(np.divmod(idx[F.reshape(-1)[idx] <= threshold], N), axis=1)
     return A_grid, B_grid, slack, amp_slack, cand
 
 

@@ -63,13 +63,20 @@ def _finite_values(w, t):
     return vals
 
 
+def _indices(k_lo, k_hi):
+    # the sum's integers as floats; from 2**52 on, floats are at least 1 apart
+    if max(-k_lo, k_hi) >= 2 ** 52:
+        raise UnboundedWindow("the Zak sum reaches |k| >= 2**52, where floats skip k - x")
+    return np.arange(k_lo, k_hi + 1, dtype=float)
+
+
 def zak_point(w, x, omega, trunc=None):
     """Zak transform of a window at (x, omega); broadcasts over arrays.
 
     The sum runs over 2*trunc + 1 integers centered where the window lives;
-    trunc defaults to the envelope-certified choice of
-    :func:`auto_truncation`; x and omega must be finite.  Raises
-    :class:`UnboundedWindow` when a window value in the sum is not finite.
+    trunc defaults to the envelope-certified choice of :func:`auto_truncation`;
+    x and omega must be finite.  Raises :class:`UnboundedWindow` when a window
+    value in the sum is not finite or the sum reaches |k| >= 2**52.
     """
     x_arr = np.asarray(x, dtype=float)
     om_arr = np.asarray(omega, dtype=float)
@@ -81,9 +88,8 @@ def zak_point(w, x, omega, trunc=None):
     x_b, om_b = np.broadcast_arrays(np.atleast_1d(x_arr), np.atleast_1d(om_arr))
     K = _truncation(w, trunc)
     center = envelope(w).center
-    k_lo = math.floor(float(x_b.min()) + center) - K
-    k_hi = math.ceil(float(x_b.max()) + center) + K
-    ks = np.arange(k_lo, k_hi + 1, dtype=float)
+    ks = _indices(math.floor(float(x_b.min()) + center) - K,
+                  math.ceil(float(x_b.max()) + center) + K)
     vals = _finite_values(w, ks[None, :] - x_b.ravel()[:, None])
     phases = np.exp(2j * np.pi * om_b.ravel()[:, None] * ks[None, :])
     out = np.sum(vals * phases, axis=1).reshape(x_b.shape)
@@ -104,22 +110,38 @@ class ZakSurface:
     tail_bound: float
 
 
-def zak_surface(w, resolution, trunc=None):
-    """Evaluate the Zak transform of a window on the fundamental-domain grid.
+def _tile_rows(N):
+    # rows of a tile of at most 2**14 values; grids with N <= 128 are one tile
+    return max(1, 2 ** 14 // N)
 
-    Raises :class:`UnboundedWindow` when a window value in the sum is not finite.
-    """
+
+def _surface_tiles(w, resolution, trunc):
+    """Z w on the N x N grid in tiles of whole rows: an iterator of (i0, tile)
+    with tile[r, j] = Z w ((i0 + r) / N, j / N), made a tile per step."""
     N = int(resolution)
     if N < 8:
         raise ValueError(f"surface resolution must be at least 8, got {resolution!r}")
     K = _truncation(w, trunc)
     center = envelope(w).center
-    k_lo, k_hi = math.floor(center) - K, math.ceil(center) + 1 + K
-    ks = np.arange(k_lo, k_hi + 1, dtype=float)
+    ks = _indices(math.floor(center) - K, math.ceil(center) + 1 + K)
     xs = np.arange(N, dtype=float) / N
     vals = _finite_values(w, ks[None, :] - xs[:, None])  # N x nk
     phases = np.exp(2j * np.pi * np.outer(ks, np.arange(N) / N))  # nk x N
-    return ZakSurface(values=vals @ phases, window_desc=w, resolution=N,
+    rows = _tile_rows(N)
+    return ((i0, vals[i0:i0 + rows] @ phases) for i0 in range(0, N, rows))
+
+
+def zak_surface(w, resolution, trunc=None):
+    """Evaluate the Zak transform of a window on the fundamental-domain grid.
+
+    Raises :class:`UnboundedWindow` where :func:`zak_point` does.
+    """
+    K = _truncation(w, trunc)
+    tiles = _surface_tiles(w, resolution, K)
+    values = np.empty((int(resolution),) * 2, dtype=complex)
+    for i0, tile in tiles:
+        values[i0:i0 + len(tile)] = tile
+    return ZakSurface(values=values, window_desc=w, resolution=len(values),
                       truncation=K, tail_bound=zak_tail_bound(w, K))
 
 
@@ -135,7 +157,7 @@ def zak_scaled(a, w, x, omega, trunc=None):
     env = envelope(w)
     K = _truncation(w, trunc, a)
     k0 = round((float(x) + env.center) / a)
-    ks = k0 + np.arange(-K, K + 1, dtype=float)
+    ks = _indices(k0 - K, k0 + K)
     vals = evaluate(w, a * ks - float(x))
     return complex(math.sqrt(a) * np.sum(vals * np.exp(2j * np.pi * a * float(omega) * ks)))
 

@@ -422,3 +422,32 @@ def test_find_zeros_negative_tol_exit_code(tmp_path, capsys):
     assert run(["find-zeros", "--n", "32", "--tol", "-1", "--out", str(out)]) == 2
     assert "zero search needs tol >= 0, got -1.0" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("shift", ["1e17", "8e15"])
+@pytest.mark.parametrize("command", ["frame-bounds", "zak-surface"])
+def test_window_shifted_past_float_integers_exit_code(tmp_path, capsys, command, shift):
+    # h_0 over Z2 is no frame; past 2**52 the Zak sums read the window at
+    # the wrong points and reported LikelyFrame (1e17) or a wrong B_est (8e15)
+    out = tmp_path / "x"
+    assert run([command, "--hermite", "0", "--shift", f"{shift},0", "--n", "32",
+                "--out", str(out)]) == 3
+    assert "|k| >= 2**52" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_window_shifted_far_in_time_is_not_a_frame(tmp_path, capsys):
+    out = tmp_path / "report.json"
+    assert run(["frame-bounds", "--hermite", "0", "--shift", "1e6,0", "--n", "32",
+                "--out", str(out)]) == 0
+    assert capsys.readouterr().out.strip() == "NotFrame"
+
+
+@pytest.mark.parametrize("command", ["frame-bounds", "find-zeros", "zak-surface"])
+def test_grid_too_large_to_allocate_exit_code(tmp_path, capsys, command):
+    # the N x N grid is the first large allocation, and at 8e16 bytes and
+    # more it fails at once, touching no memory
+    out = tmp_path / "x"
+    assert run([command, "--n", "100000000", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("configuration error: ")
+    assert not out.exists()

@@ -341,7 +341,7 @@ def eight_neighbour_minima(F):
 
 @pytest.mark.parametrize("N", [1, 2, 3, 5, 8, 33])
 def test_local_minima_mask_matches_eight_neighbour_reference(N):
-    from gaborkit.frames import _local_minima_mask
+    from gaborkit.frames import _local_minima_mask, _padded
     rng = np.random.default_rng(N)
     plateau = np.ones((N, N))
     plateau[N // 2:, : N // 2 + 1] = 0.5  # a flat valley with a flat rim
@@ -349,7 +349,22 @@ def test_local_minima_mask_matches_eight_neighbour_reference(N):
              rng.integers(0, 3, (N, N)).astype(float),  # many ties
              np.full((N, N), 2.0), plateau]
     for F in grids:
-        assert np.array_equal(_local_minima_mask(F), eight_neighbour_minima(F))
+        assert np.array_equal(_local_minima_mask(_padded(F, 0, N)),
+                              eight_neighbour_minima(F))
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 5, 8, 33])
+def test_padded_tiles_reassemble_the_whole_grid(N):
+    # the grid stage reads F in tiles of whole rows; tiles of any height
+    # give the whole grid's minima mask and slack
+    from gaborkit.frames import _grid_slack, _local_minima_mask, _padded
+    rng = np.random.default_rng(200 + N)
+    for F in (rng.random((N, N)), rng.integers(0, 3, (N, N)).astype(float)):
+        for rows in (1, 2, N):
+            tiles = [_padded(F, i0, min(i0 + rows, N)) for i0 in range(0, N, rows)]
+            assert np.array_equal(np.vstack([_local_minima_mask(P) for P in tiles]),
+                                  eight_neighbour_minima(F))
+            assert max(_grid_slack(P) for P in tiles) == roll_grid_slack(F)
 
 
 def test_small_rational_rule():
@@ -433,7 +448,7 @@ def roll_grid_candidates(windows, N, trunc):
 
 @pytest.mark.parametrize("N", [1, 2, 3, 5, 8, 33])
 def test_grid_slack_matches_roll_reference(N):
-    from gaborkit.frames import _grid_slack
+    from gaborkit.frames import _grid_slack, _padded
     rng = np.random.default_rng(100 + N)
     ramp = np.arange(N, dtype=float)
     grids = [rng.standard_normal((N, N)),  # steps of both signs
@@ -443,12 +458,10 @@ def test_grid_slack_matches_roll_reference(N):
              np.repeat(-ramp[None, :], N, axis=0),  # ... and the wrap column
              np.add.outer(ramp, 2.0 * ramp[::-1])]
     for F in grids:
-        expected = roll_grid_slack(F)
-        assert _grid_slack(F) == expected
-        scratch = rng.random((N, N))
-        assert _grid_slack(F, scratch) == expected
+        assert _grid_slack(_padded(F, 0, N)) == roll_grid_slack(F)
     if N > 2:
-        assert _grid_slack(grids[3]) == _grid_slack(grids[4]) == N - 1.0
+        assert _grid_slack(_padded(grids[3], 0, N)) \
+            == _grid_slack(_padded(grids[4], 0, N)) == N - 1.0
 
 
 def union_systems():
@@ -471,3 +484,22 @@ def test_grid_stage_matches_roll_reference_bit_for_bit(monkeypatch, N, sys_):
     zeros = frames._search_zeros(sys_.windows, N, None, 1e-10)
     monkeypatch.setattr(frames, "_grid_candidates", roll_grid_candidates)
     assert zeros == frames._search_zeros(sys_.windows, N, None, 1e-10)
+
+
+def test_grid_stage_holds_one_grid_sized_array():
+    # F is the only N x N array: the Zak surfaces arrive in row tiles of at
+    # most 2**14 values, and F is read back in padded tiles
+    import tracemalloc
+    from gaborkit import frames
+    union = point_set(np.eye(2), [(0.0, 0.0), (0.25, 0.25)])
+    windows = reduce_to_multiwindow(GaborSystem([window(4)], union)).windows
+    N = 512
+    frames._grid_candidates(windows, N, None)  # fill the per-window caches
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        frames._grid_candidates(windows, N, None)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * 8 * N * N

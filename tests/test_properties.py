@@ -10,11 +10,12 @@ import numpy as np
 from hypothesis import assume, given, settings, strategies as st
 
 from gaborkit.cli import main
+from gaborkit.frames import _grid_candidates
 from gaborkit.operators import (Chirp, Dilation, Fourier, FrFT, TFShift,
                                 apply_chain, project_isomorphism)
 from gaborkit.windows import (descriptor, evaluate, parse_descriptor, realize,
                               window)
-from gaborkit.zak import zak_point
+from gaborkit.zak import zak_point, zak_surface
 
 # seeded, so that every run of the suite draws the same examples
 SETTINGS = settings(max_examples=40, deadline=None, derandomize=True)
@@ -26,6 +27,7 @@ shifts = st.builds(TFShift, st.floats(-2.0, 2.0), st.floats(-2.0, 2.0))
 any_op = st.one_of(dilations, chirps, shifts, st.floats(-4.0, 4.0).map(FrFT),
                    st.just(Fourier()))
 chains = st.lists(any_op, max_size=5).map(tuple)
+pointwise_chains = st.lists(st.one_of(dilations, chirps, shifts), max_size=3).map(tuple)
 
 
 def expected_matrix(op):
@@ -113,3 +115,22 @@ def test_cli_fuzz_exit_codes(tmp_path_factory, chain):
     with contextlib.redirect_stdout(io.StringIO()), \
             contextlib.redirect_stderr(io.StringIO()):
         assert main(argv) in (0, 2, 3, 4, 5)
+
+
+@SETTINGS
+@given(st.integers(0, 4), pointwise_chains, st.sampled_from([16, 24, 32]), st.data())
+def test_grid_stage_is_shift_covariant(n, chain, N, data):
+    # |Z pi(x, omega) g| (u, v) = |Z g| (u + x, v + omega), so on the grid
+    # a shift by (a/N, b/N) rolls G = |Z g|^2 back by (a, b)
+    a, b = data.draw(st.integers(0, N - 1)), data.draw(st.integers(0, N - 1))
+    g = window(n, chain)
+    shifted = window(n, (TFShift(a / N, b / N),) + chain)
+    G = np.abs(zak_surface(g, N).values) ** 2
+    rolled = np.roll(G, (-a, -b), axis=(0, 1))
+    assert np.max(np.abs(np.abs(zak_surface(shifted, N).values) ** 2 - rolled)) \
+        <= 1e-12 * G.max()
+    # A may be a zero at rounding level, so both bounds are held to B's scale
+    A, B, *_ = _grid_candidates([g, shifted], N, None)
+    F = G + rolled
+    assert abs(A - F.min()) <= 1e-12 * F.max()
+    assert abs(B - F.max()) <= 1e-12 * F.max()

@@ -304,3 +304,28 @@ def test_every_zak_evaluation_rejects_truncation_below_one(trunc):
     with pytest.raises(ValueError, match=message):
         zak_scaled(SQRT2, w, 0.25, 0.5, trunc)
     assert zak_surface(w, 8, 1).truncation == 1
+
+
+@pytest.mark.parametrize("shift", [1e17, 8e15])
+def test_sums_past_float_integers_raise_unbounded_window(shift):
+    # from 2**52 on floats are at least 1 apart, so k - x misses the sum's
+    # points; at 1e17 the sums read h_0 at the wrong points entirely
+    w = window(0, (TFShift(shift, 0.0),))
+    for evaluate_zak in (lambda: zak_point(w, 0.25, 0.5),
+                         lambda: zak_point(w, np.array([0.0, 0.5]), 0.5),
+                         lambda: zak_surface(w, 8),
+                         lambda: zak_scaled(SQRT2, w, 0.25, 0.5)):
+        with pytest.raises(UnboundedWindow, match=r"\|k\| >= 2\*\*52"):
+            evaluate_zak()
+
+
+def test_surface_tiles_cover_the_grid():
+    from gaborkit.zak import _surface_tiles
+    w = window(3, (Dilation(1.1), Chirp(0.4), TFShift(0.3, -0.2)))
+    N = 200  # tiles of 81 rows, the last one short
+    tiles = list(_surface_tiles(w, N, None))
+    assert [(i0, len(tile)) for i0, tile in tiles] == [(0, 81), (81, 81), (162, 38)]
+    values = zak_surface(w, N).values
+    assert np.array_equal(np.concatenate([tile for _, tile in tiles]), values)
+    i, j = np.array([0, N // 2, N - 1]), np.array([N - 1, 3, N // 3])
+    assert np.max(np.abs(values[i, j] - zak_point(w, i / N, j / N))) <= 1e-12

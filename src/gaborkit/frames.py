@@ -3,10 +3,10 @@
 A system over a reducible point set is first rewritten as a multi-window
 system over the integer lattice; the frame bounds are then the extrema of
 the multi-window Zak objective sum_m |Z g_m|^2 on the fundamental domain.
-The grid stage holds the N x N objective F (8N^2 bytes) and one tile of
-whole rows at a time (at most 2^14 values): F is summed from row tiles of
-the Zak surfaces, then one pass over tiles padded with a torus halo gives
-the slacks of F and of its square root and the 3 x 3 local minima.
+The grid stage holds the objective F (8N^2 bytes), a tile of whole rows
+(2^14 values while N <= 2^14) and the Zak sum's O(N) factors: F is summed
+from row tiles of the Zak surfaces, then one pass over tiles padded with a
+torus halo gives the slacks of F and of its square root and the 3 x 3 minima.
 Candidate grid minima are refined together by damped Newton steps on batched
 Zak values (to a relative gain of 1e-12); one batched evaluation then snaps
 each coordinate to a rational of denominator at most 8 within 1e-6 where
@@ -287,10 +287,10 @@ def _grid_candidates(windows, N, trunc):
         for i0, tile in _surface_tiles(g, N, trunc):
             tile = np.abs(tile)  # the complex tile is freed here
             F[i0:i0 + len(tile)] += np.multiply(tile, tile, out=tile)
+        del tile  # and the last one before the next window is evaluated
     A_grid, B_grid = float(F.min()), float(F.max())
     slack, amp_slack, minima = 0.0, 0.0, []
-    rows = _tile_rows(N)
-    for i0 in range(0, N, rows):
+    for i0 in range(0, N, rows := _tile_rows(N)):
         P = _padded(F, i0, min(i0 + rows, N))
         slack = max(slack, _grid_slack(P))
         amp_slack = max(amp_slack, _grid_slack(np.sqrt(P)))

@@ -111,37 +111,37 @@ class ZakSurface:
 
 
 def _tile_rows(N):
-    # rows of a tile of at most 2**14 values; grids with N <= 128 are one tile
+    # whole rows, 2**14 values a tile while N <= 2**14; N <= 128 is one tile
     return max(1, 2 ** 14 // N)
 
 
-def _surface_tiles(w, resolution, trunc):
-    """Z w on the N x N grid in tiles of whole rows: an iterator of (i0, tile)
-    with tile[r, j] = Z w ((i0 + r) / N, j / N), made a tile per step."""
-    N = int(resolution)
+def _surface_tiles(w, N, trunc, out=None):
+    """Z w on the N x N grid in tiles of whole rows, made a tile per step:
+    yields (i0, tile) with tile[r, j] = Z w ((i0 + r) / N, j / N), written into
+    the rows of out when given.  The window is evaluated on about 2**11 points at once."""
     if N < 8:
-        raise ValueError(f"surface resolution must be at least 8, got {resolution!r}")
-    K = _truncation(w, trunc)
-    center = envelope(w).center
+        raise ValueError(f"surface resolution must be at least 8, got {N!r}")
+    K, center = _truncation(w, trunc), envelope(w).center
     ks = _indices(math.floor(center) - K, math.ceil(center) + 1 + K)
     xs = np.arange(N, dtype=float) / N
-    vals = _finite_values(w, ks[None, :] - xs[:, None])  # N x nk
     phases = np.exp(2j * np.pi * np.outer(ks, np.arange(N) / N))  # nk x N
     rows = _tile_rows(N)
-    return ((i0, vals[i0:i0 + rows] @ phases) for i0 in range(0, N, rows))
+    block = rows * max(1, 2 ** 11 // (rows * len(ks)))
+    for b0 in range(0, N, block):
+        vals = _finite_values(w, ks[None, :] - xs[b0:b0 + block, None])
+        for i0 in range(b0, b0 + len(vals), rows):
+            tile_out = None if out is None else out[i0:i0 + rows]
+            yield i0, np.matmul(vals[i0 - b0:i0 - b0 + rows], phases, out=tile_out)
 
 
 def zak_surface(w, resolution, trunc=None):
-    """Evaluate the Zak transform of a window on the fundamental-domain grid.
-
-    Raises :class:`UnboundedWindow` where :func:`zak_point` does.
-    """
-    K = _truncation(w, trunc)
-    tiles = _surface_tiles(w, resolution, K)
-    values = np.empty((int(resolution),) * 2, dtype=complex)
-    for i0, tile in tiles:
-        values[i0:i0 + len(tile)] = tile
-    return ZakSurface(values=values, window_desc=w, resolution=len(values),
+    """Evaluate the Zak transform of a window on the fundamental-domain grid;
+    raises :class:`UnboundedWindow` where :func:`zak_point` does."""
+    N, K = int(resolution), _truncation(w, trunc)
+    values = np.empty((N, N) if N >= 8 else (0, 0), complex)  # a grid too large fails here
+    for _ in _surface_tiles(w, N, K, values):
+        pass
+    return ZakSurface(values=values, window_desc=w, resolution=N,
                       truncation=K, tail_bound=zak_tail_bound(w, K))
 
 

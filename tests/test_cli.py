@@ -5,6 +5,7 @@ import sys
 import numpy as np
 import pytest
 
+from gaborkit import zak
 from gaborkit.cli import main
 from gaborkit.operators import Chirp, Dilation, apply_frft
 from gaborkit.windows import realize, window
@@ -444,9 +445,13 @@ def test_window_shifted_far_in_time_is_not_a_frame(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command", ["frame-bounds", "find-zeros", "zak-surface"])
-def test_grid_too_large_to_allocate_exit_code(tmp_path, capsys, command):
-    # the N x N grid is the first large allocation, and at 8e16 bytes and
-    # more it fails at once, touching no memory
+def test_grid_too_large_to_allocate_exit_code(tmp_path, capsys, monkeypatch, command):
+    # the N x N grid (F, or the values of zak-surface) is the first allocation
+    # that grows with N, and at 8e16 bytes and more it fails at once; the Zak
+    # sum's factors, which grow with N too, must not be reached
+    def reached(k_lo, k_hi):
+        raise AssertionError("the Zak sum's factors were built before the grid")
+    monkeypatch.setattr(zak, "_indices", reached)
     out = tmp_path / "x"
     assert run([command, "--n", "100000000", "--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith("configuration error: ")

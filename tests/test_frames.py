@@ -487,8 +487,9 @@ def test_grid_stage_matches_roll_reference_bit_for_bit(monkeypatch, N, sys_):
 
 
 def test_grid_stage_holds_one_grid_sized_array():
-    # F is the only N x N array: the Zak surfaces arrive in row tiles of at
-    # most 2**14 values, and F is read back in padded tiles
+    # F is the only N x N array: the Zak surfaces arrive in row tiles of
+    # 2**14 values, from window values evaluated on about 2**11 points at a
+    # time, and F is read back in padded tiles; about 1.32 x 8N^2 at N = 512
     import tracemalloc
     from gaborkit import frames
     union = point_set(np.eye(2), [(0.0, 0.0), (0.25, 0.25)])

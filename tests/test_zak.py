@@ -319,13 +319,18 @@ def test_sums_past_float_integers_raise_unbounded_window(shift):
             evaluate_zak()
 
 
-def test_surface_tiles_cover_the_grid():
+@pytest.mark.parametrize("N, heights", [
+    (200, [81, 81, 38]),  # 19 sum points a row: window values a tile at a time
+    (600, [27] * 22 + [6]),  # ... and three tiles, 81 rows, at a time
+])
+def test_surface_tiles_cover_the_grid(N, heights):
     from gaborkit.zak import _surface_tiles
     w = window(3, (Dilation(1.1), Chirp(0.4), TFShift(0.3, -0.2)))
-    N = 200  # tiles of 81 rows, the last one short
     tiles = list(_surface_tiles(w, N, None))
-    assert [(i0, len(tile)) for i0, tile in tiles] == [(0, 81), (81, 81), (162, 38)]
+    assert [(i0, len(tile)) for i0, tile in tiles] == \
+        list(zip(np.cumsum([0] + heights[:-1]).tolist(), heights))
     values = zak_surface(w, N).values
     assert np.array_equal(np.concatenate([tile for _, tile in tiles]), values)
-    i, j = np.array([0, N // 2, N - 1]), np.array([N - 1, 3, N // 3])
+    i = np.array([0, 80, 81, N // 2, N - 34, N - 33, N - 1])
+    j = (7 * i + 3) % N
     assert np.max(np.abs(values[i, j] - zak_point(w, i / N, j / N))) <= 1e-12

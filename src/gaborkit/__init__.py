@@ -7,8 +7,8 @@ estimation with zero certification.
 """
 
 from .errors import (GaborError, IrreducibleSet, NotASublattice, NotUnimodular,
-                     PoissonUnavailable, ShiftExceedsGrid, SingularAngle,
-                     SingularMatrix, TruncationTooCoarse, UnboundedWindow)
+                     ShiftExceedsGrid, SingularAngle, SingularMatrix,
+                     TruncationTooCoarse, UnboundedWindow)
 from .frames import (FrameReport, GaborSystem, Zero, equivalence_transport,
                      find_zak_zeros, finite_frame_spectrum, frame_bounds,
                      reduce_to_multiwindow, report_to_json,
@@ -22,9 +22,8 @@ from .operators import (Chirp, Dilation, Fourier, FrFT, SampledFunction,
                         grid_points, matched_phase_residual,
                         project_isomorphism, sample, support_radius)
 from .special import ThetaValue, hermite, hermite_stack, theta3
-from .windows import (Window, descriptor, envelope, evaluate, fourier_window,
-                      normal_form, parse_descriptor, parity, realize, shifted,
-                      window)
+from .windows import (Window, descriptor, envelope, evaluate, normal_form,
+                      parse_descriptor, parity, realize, shifted, window)
 from .zak import (ZakSurface, auto_truncation, verify_identities,
                   write_surface_csv, zak_point, zak_scaled, zak_surface,
                   zak_tail_bound)

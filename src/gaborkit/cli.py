@@ -155,8 +155,7 @@ def _suite_zak(args):
     w = _window_from_args(args)
     rng = np.random.RandomState(12345)
     pts = rng.uniform(0.0, 1.0, size=(25, 2))
-    defects = verify_identities(w, pts, poisson="closed" if not w.chain else "frft",
-                                trunc=args.truncation)
+    defects = verify_identities(w, pts, trunc=args.truncation)
     tols = {name: 1e-10 for name in defects}
     return defects, tols
 

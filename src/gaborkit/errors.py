@@ -35,7 +35,3 @@ class UnboundedWindow(GaborError):
 
 class IrreducibleSet(GaborError):
     """Point set cannot be reduced to a multi-window system over the integer lattice."""
-
-
-class PoissonUnavailable(GaborError):
-    """The Fourier transform of the window has no closed form and no fallback was requested."""

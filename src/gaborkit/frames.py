@@ -25,8 +25,8 @@ from .lattices import (coset_split, enumerate_points, iwasawa_factor,
                        point_set, recompose, transform)
 from .operators import Chirp, Dilation, FrFT, TFShift, project_isomorphism
 from .special import theta3
-from .windows import Window, evaluate, window
-from .zak import _surface_tiles, _tile_rows, zak_point
+from .windows import Window, window
+from .zak import _finite_values, _surface_tiles, _tile_rows, zak_point
 
 NOT_FRAME = "NotFrame"
 LIKELY_FRAME = "LikelyFrame"
@@ -413,13 +413,14 @@ def finite_frame_spectrum(sys, lattice_window=6.0, t_extent=8.0, t_step=1.0 / 16
     Builds the discretized frame operator from the atoms pi(lambda) g_m with
     lambda enumerated on a max-norm window and test functions sampled on
     [-f_extent, f_extent], and returns (smallest, largest) eigenvalue.  An
-    independent oracle for the Zak-criterion bounds.
+    independent oracle for the Zak-criterion bounds.  Raises
+    :class:`UnboundedWindow` when a window value is not finite.
     """
     tg = np.arange(-t_extent, t_extent, t_step)
     rows = []
     for g in sys.windows:
         for lam in enumerate_points(sys.point_set, lattice_window):
-            rows.append(np.exp(2j * np.pi * lam[1] * tg) * evaluate(g, tg - lam[0]))
+            rows.append(np.exp(2j * np.pi * lam[1] * tg) * _finite_values(g, tg - lam[0]))
     atoms = np.array(rows)
     sub = np.abs(tg) <= f_extent
     A = atoms[:, sub].conj()

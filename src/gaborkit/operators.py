@@ -339,18 +339,17 @@ class Op:
     Immutable, compared by kind and fields (``Chirp(0.7) != Dilation(0.7)``),
     with finite fields.  A subclass holds every fact about its kind, None
     where it lacks one: ``tag`` (JSON name), ``matrix()`` (A), ``apply(f)``,
-    ``at(g, t)`` ((U g)(t) for pointwise U), ``is_identity()``,
-    ``merge(right)`` ((op, c) with self . right = c op for the same kind),
-    ``fourier(phase)`` ((op, phase c) with F . self = c op . F),
-    ``hermite_eigenvalue(n)``, ``envelope_step(n, amp, scale, center)``
-    (the Gaussian envelope of U g from that of g, for g of degree n) and
-    ``angle``: U is exp(i angle / 2) times the metaplectic operator of A that
-    maps exp(i pi tau t^2) to j^(-1/2) exp(i pi tau' t^2), j = A11 + A12 tau
-    (0 for dilation and chirp, the rotation angle in (-pi, pi] for FrFT and
-    Fourier, None for a shift, which is not metaplectic).
+    ``is_identity()``, ``merge(right)`` ((op, c) with self . right = c op for
+    the same kind), ``hermite_eigenvalue(n)`` and ``angle``: U is
+    exp(i angle / 2) times the metaplectic operator of A that maps
+    exp(i pi tau t^2) to j^(-1/2) exp(i pi tau' t^2), j = A11 + A12 tau (0
+    for dilation and chirp, the rotation angle in (-pi, pi] for FrFT and
+    Fourier, None for a shift, which is not metaplectic).  Values, envelopes
+    and Fourier transforms of windows come from these matrices and angles
+    alone (:func:`gaborkit.windows.normal_form`).
     """
 
-    at = merge = fourier = hermite_eigenvalue = None
+    merge = hermite_eigenvalue = None
     angle = 0.0
     keeps_parity = True  # U maps even/odd functions to even/odd functions
     keeps_real = False   # U maps real functions to real functions
@@ -362,9 +361,6 @@ class Op:
 
     def is_identity(self):
         return False
-
-    def envelope_step(self, n, amp, scale, center):
-        return amp, scale, center
 
 
 @dataclass(frozen=True)
@@ -385,22 +381,11 @@ class Dilation(Op):
     def apply(self, f):
         return apply_dilation(self.a, f)
 
-    def at(self, g, t):
-        return g(t / self.a) / math.sqrt(self.a)
-
     def is_identity(self):
         return self.a == 1.0
 
     def merge(self, right):
         return Dilation(self.a * right.a), 1.0
-
-    def fourier(self, phase):
-        # F D_a = D_{1/a} F
-        return Dilation(1.0 / self.a), phase
-
-    def envelope_step(self, n, amp, scale, center):
-        return (amp * (max(1.0, 1.0 / self.a) ** n / math.sqrt(self.a)),
-                scale * self.a, center * self.a)
 
 
 @dataclass(frozen=True)
@@ -415,9 +400,6 @@ class Chirp(Op):
 
     def apply(self, f):
         return apply_chirp(self.q, f)
-
-    def at(self, g, t):
-        return np.exp(1j * math.pi * self.q * np.square(t)) * g(t)
 
     def is_identity(self):
         return self.q == 0.0
@@ -470,9 +452,6 @@ class TFShift(Op):
     def apply(self, f):
         return apply_tf_shift((self.x, self.omega), f)
 
-    def at(self, g, t):
-        return np.exp(2j * math.pi * self.omega * np.asarray(t, float)) * g(t - self.x)
-
     def is_identity(self):
         return self.x == 0.0 and self.omega == 0.0
 
@@ -480,14 +459,6 @@ class TFShift(Op):
         # pi(z1) pi(z2) = exp(-2 pi i x1 omega2) pi(z1 + z2)
         extra = cmath.exp(-2j * math.pi * self.x * right.omega)
         return TFShift(self.x + right.x, self.omega + right.omega), extra
-
-    def fourier(self, phase):
-        # F pi(x, omega) = exp(2 pi i x omega) pi(omega, -x) F
-        phase *= cmath.exp(2j * math.pi * self.x * self.omega)
-        return TFShift(self.omega, -self.x), phase
-
-    def envelope_step(self, n, amp, scale, center):
-        return amp, scale, center + self.x
 
 
 @dataclass(frozen=True)

@@ -1,12 +1,12 @@
 """Symbolic window descriptions: a Hermite order plus a chain of operators.
 
-Every window evaluates in closed form.  Dilation, chirp and time-frequency
-shift act pointwise.  A chain with a fractional Fourier or Fourier link is
-first folded, from its leftmost such link rightward, into the normal form
-c pi(x, omega) Chirp(q) Dilation(a) h_n: each operator is metaplectic or a
-shift, so it maps that form to another one through its 2 x 2 matrix
-(:func:`normal_form`).  A fractional link on the bare Hermite base collapses
-to the eigenvalue phase exp(-i n r) already when the window is built.
+Every window is c pi(x, omega) Chirp(q) Dilation(a) h_n: each operator is
+metaplectic or a shift, so it maps that form to another one through its
+2 x 2 matrix.  :func:`normal_form` folds a chain into it, and the values,
+the decay envelope and the Fourier transform of every window, pointwise or
+not, are read from those numbers.  A fractional link on the bare Hermite
+base collapses to the eigenvalue phase exp(-i n r) already when the window
+is built.
 """
 
 import cmath
@@ -63,28 +63,45 @@ def window(n, chain=(), phase=1.0):
         ops[i:i + 2] = [op]
 
 
+_CANONICAL = (TFShift, Chirp, Dilation)
+# the fields of the canonical kinds at the identity; no two kinds share a name
+_IDENTITY = {"x": 0.0, "omega": 0.0, "q": 0.0, "a": 1.0}
+
+
+def _canonical(chain):
+    """(x, omega, q, a) of a chain whose kinds are a subsequence of
+    (TFShift, Chirp, Dilation), with the identity's values for the kinds it
+    lacks; None for any other chain."""
+    kinds = [type(op) for op in chain]
+    if kinds != [kind for kind in _CANONICAL if kind in kinds]:
+        return None
+    params = dict(_IDENTITY)
+    for op in chain:
+        params.update(vars(op))
+    return tuple(params.values())
+
+
 @lru_cache(maxsize=64)
 def normal_form(w):
-    """An equal window whose links are all pointwise.
+    """The equal window c pi(x, omega) Chirp(q) Dilation(a) h_n.
 
-    That is w itself when its links are; otherwise its chain from the
-    leftmost FrFT or Fourier link on is folded into pi(x, omega) Chirp(q)
-    Dilation(a) and a phase, and the links left of it are kept.  The fold runs from the state c pi(x, omega) mu h_n with mu the metaplectic
-    operator that maps exp(-pi t^2) to exp(i pi tau t^2), starting at
-    (c, x, omega, tau) = (1, 0, 0, i).  A shift merges into pi(x, omega); any
-    other link of matrix [[A, B], [C, D]] and angle rho (:class:`Op`) sets
-    j = A + B tau, tau <- (C + D tau) / j, c <- c exp(i (rho / 2 - (n + 1/2)
-    arg j)), and moves pi(x, omega) past itself: (x, omega) <- A (x, omega)
-    with c <- c exp(i pi (x omega - x' omega')).  At the end q = Re tau and
+    A window whose chain is already in that order is returned as it is;
+    any other chain is folded whole.  The fold runs from the state
+    c pi(x, omega) mu h_n with mu the metaplectic operator that maps
+    exp(-pi t^2) to exp(i pi tau t^2), starting at (c, x, omega, tau) =
+    (1, 0, 0, i).  A shift merges into pi(x, omega); any other link of
+    matrix [[A, B], [C, D]] and angle rho (:class:`Op`) sets j = A + B tau,
+    tau <- (C + D tau) / j, c <- c exp(i (rho / 2 - (n + 1/2) arg j)), and
+    moves pi(x, omega) past itself: (x, omega) <- A (x, omega) with
+    c <- c exp(i pi (x omega - x' omega')).  At the end q = Re tau and
     a = (Im tau)^(-1/2).  Raises :class:`UnboundedWindow` when that
     arithmetic over- or underflows.  Cached per window.
     """
-    lo = next((i for i, op in enumerate(w.chain) if op.at is None), None)
-    if lo is None:
+    if _canonical(w.chain) is not None:
         return w
     c, x, omega, tau = 1.0 + 0.0j, 0.0, 0.0, 1j
     try:
-        for op in reversed(w.chain[lo:]):
+        for op in reversed(w.chain):
             if op.angle is None:
                 shift, extra = op.merge(TFShift(x, omega))
                 c, x, omega = c * extra, shift.x, shift.omega
@@ -102,25 +119,34 @@ def normal_form(w):
         tail = None
     if tail is None or not cmath.isfinite(c):
         raise UnboundedWindow("the normal form of the window over- or underflows a float")
-    return window(w.n, w.chain[:lo] + tail, w.phase * c)
+    return window(w.n, tail, w.phase * c)
 
 
-def _eval_pointwise(n, ops, t):
-    if not ops:
-        return hermite(n, t).astype(complex) if np.ndim(t) else complex(hermite(n, t))
-    return ops[0].at(lambda u: _eval_pointwise(n, ops[1:], u), t)
+def _hermite(n, t):
+    h = hermite(n, t)
+    return h.astype(complex) if np.ndim(h) else complex(h)
+
+
+def _values(n, x, omega, q, a, t):
+    # exp(2 pi i omega t) exp(i pi q u^2) a^(-1/2) h_n(u / a), u = t - x,
+    # each factor skipped where it is 1.  Each product and quotient, the
+    # caller's phase product included, has an unnamed temporary operand,
+    # which numpy reuses as the output of a large array; its complex
+    # multiply rounds differently in place than into a new array, so naming
+    # an intermediate would move the last bits of every value
+    u = t - x if x or omega else t
+    vals = _hermite(n, u / a) / math.sqrt(a) if a != 1.0 else _hermite(n, u)
+    if q:
+        vals = np.exp(1j * math.pi * q * np.square(u)) * vals
+    if x or omega:
+        vals = np.exp(2j * math.pi * omega * t) * vals
+    return vals
 
 
 def evaluate(w, t):
-    """Window values at the points t, in closed form.
-
-    A window with a link that is not pointwise is evaluated through its
-    :func:`normal_form`.
-    """
-    t = np.asarray(t, dtype=float)
-    if any(op.at is None for op in w.chain):
-        w = normal_form(w)
-    return w.phase * _eval_pointwise(w.n, w.chain, t)
+    """Window values at the points t, in closed form from the :func:`normal_form`."""
+    w = normal_form(w)
+    return w.phase * _values(w.n, *_canonical(w.chain), np.asarray(t, dtype=float))
 
 
 @lru_cache(maxsize=64)
@@ -151,37 +177,48 @@ class GaussianEnvelope:
             * np.exp(-math.pi * u * u / (self.scale * self.scale))
 
     def tail(self, dist):
-        """Sum of the envelope at integer distances >= dist from the center."""
+        """Sum of the envelope at integer distances >= dist from the center.
+
+        81 terms are summed.  The ratio of consecutive terms,
+        ((j + 2) / (j + 1))^degree exp(-pi (2j + 1) / scale^2), falls with j,
+        so the rest is at most the geometric series of the last ratio r:
+        last r / (1 - r), and unbounded (inf) when r >= 1.
+        """
         d = max(float(dist), 0.0)
         j = d + np.arange(0.0, 81.0)
         s2 = self.scale * self.scale
         # a scale whose square underflows leaves only the center term
         decay = np.exp(-math.pi * j * j / s2) if s2 > 0.0 else (j == 0.0) * 1.0
         vals = self.amplitude * (1.0 + j) ** self.degree * decay
-        # superexponential decay: last kept term dominates everything beyond
-        return 2.0 * (float(np.sum(vals)) + float(vals[-1]))
+        last, prev = float(vals[-1]), float(vals[-2])
+        if last == 0.0:
+            rest = 0.0
+        elif last < prev:
+            r = last / prev
+            rest = last * r / (1.0 - r)
+        else:
+            rest = math.inf
+        return 2.0 * (float(np.sum(vals)) + rest)
 
 
 @lru_cache(maxsize=64)
 def envelope(w):
     """Certified Gaussian-decay envelope of a window.
 
-    The analytic Hermite bound is propagated through each link of the
-    window's :func:`normal_form`.  :class:`UnboundedWindow` is raised when the
-    bound overflows.  Built once per distinct window and cached.
+    From the :func:`normal_form`: |w(t)| = a^(-1/2) |h_n((t - x) / a)| and
+    (1 + |u| / a)^n <= max(1, 1/a)^n (1 + |u|)^n, so the Hermite bound of
+    scale 1 becomes amplitude C_n max(1, 1/a)^n / sqrt(a), scale a and
+    center x.  :class:`UnboundedWindow` is raised when the amplitude
+    overflows.  Built once per distinct window and cached.
     """
-    if any(op.at is None for op in w.chain):
-        w = normal_form(w)
-    amp = hermite_envelope_constant(w.n)
-    scale, center = 1.0, 0.0
+    x, _, _, a = _canonical(normal_form(w).chain)
     try:
-        for op in reversed(w.chain):
-            amp, scale, center = op.envelope_step(w.n, amp, scale, center)
+        amp = hermite_envelope_constant(w.n) * (max(1.0, 1.0 / a) ** w.n / math.sqrt(a))
     except OverflowError:
         amp = math.inf
     if not math.isfinite(amp):
         raise UnboundedWindow("the closed-form envelope constant overflows a float")
-    return GaussianEnvelope(amp, w.n, scale, center)
+    return GaussianEnvelope(amp, w.n, a, x)
 
 
 def parity(w):
@@ -194,22 +231,6 @@ def parity(w):
 def is_real(w):
     """True when the window is real-valued on the real line."""
     return w.phase.imag == 0.0 and all(op.keeps_real for op in w.chain)
-
-
-def fourier_window(w):
-    """Closed-form Fourier transform of a window, or None.
-
-    Uses F h_n = (-i)^n h_n on the base and the Fourier exchange of each
-    link (:meth:`Op.fourier`); chirp and fractional links have none.
-    """
-    ops = []
-    phase = w.phase * (-1j) ** w.n
-    for op in w.chain:
-        if op.fourier is None:
-            return None
-        image, phase = op.fourier(phase)
-        ops.append(image)
-    return window(w.n, tuple(ops), phase)
 
 
 def shifted(w, x, omega):

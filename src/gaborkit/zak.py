@@ -15,10 +15,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import PoissonUnavailable, UnboundedWindow
+from .errors import UnboundedWindow
 from .operators import Fourier
-from .windows import (Window, descriptor, envelope, evaluate, fourier_window,
-                      is_real, parity, shifted, window)
+from .windows import (Window, descriptor, envelope, evaluate, is_real, parity,
+                      shifted, window)
 
 _TRUNC_TOL = 1e-14
 TRUNC_MIN = 8
@@ -29,13 +29,18 @@ TRUNC_MAX = 64
 def auto_truncation(w, scale=1.0):
     """Smallest K in [8, 64] whose envelope tail at distance scale*(K-1) is < 1e-14.
 
-    Cached per (window, scale).
+    Raises :class:`UnboundedWindow`, naming the tail that K = 64 reaches,
+    when there is none; an explicit truncation is then the way to sum the
+    series.  Cached per (window, scale).
     """
     env = envelope(w)
-    for K in range(TRUNC_MIN, TRUNC_MAX):
-        if env.tail(scale * (K - 1)) < _TRUNC_TOL:
+    for K in range(TRUNC_MIN, TRUNC_MAX + 1):
+        tail = env.tail(scale * (K - 1))
+        if tail < _TRUNC_TOL:
             return K
-    return TRUNC_MAX
+    raise UnboundedWindow(
+        f"no truncation up to {TRUNC_MAX} certifies the Zak sum: the envelope "
+        f"tail there is {tail:.3g}, not below {_TRUNC_TOL:g}; give an explicit truncation")
 
 
 def _truncation(w, trunc, *scale):
@@ -70,6 +75,18 @@ def _indices(k_lo, k_hi):
     return np.arange(k_lo, k_hi + 1, dtype=float)
 
 
+def _finite_arrays(func, **args):
+    # the arguments as float arrays, which must be finite
+    arrays = []
+    for name, value in args.items():
+        arr = np.asarray(value, dtype=float)
+        if not (math.isfinite(arr) if arr.ndim == 0 else np.isfinite(arr).all()):
+            raise ValueError(f"{func} requires a finite {name}, "
+                             f"got {float(arr[~np.isfinite(arr)][0])!r}")
+        arrays.append(arr)
+    return arrays
+
+
 def zak_point(w, x, omega, trunc=None):
     """Zak transform of a window at (x, omega); broadcasts over arrays.
 
@@ -78,12 +95,7 @@ def zak_point(w, x, omega, trunc=None):
     x and omega must be finite.  Raises :class:`UnboundedWindow` when a window
     value in the sum is not finite or the sum reaches |k| >= 2**52.
     """
-    x_arr = np.asarray(x, dtype=float)
-    om_arr = np.asarray(omega, dtype=float)
-    for name, arr in (("x", x_arr), ("omega", om_arr)):
-        if not (math.isfinite(arr) if arr.ndim == 0 else np.isfinite(arr).all()):
-            raise ValueError(f"zak_point requires a finite {name}, "
-                             f"got {float(arr[~np.isfinite(arr)][0])!r}")
+    x_arr, om_arr = _finite_arrays("zak_point", x=x, omega=omega)
     scalar = x_arr.ndim == 0 and om_arr.ndim == 0
     x_b, om_b = np.broadcast_arrays(np.atleast_1d(x_arr), np.atleast_1d(om_arr))
     K = _truncation(w, trunc)
@@ -149,23 +161,25 @@ def zak_scaled(a, w, x, omega, trunc=None):
     """Scaled Zak transform sqrt(a) sum_k w(a k - x) exp(2 pi i a k omega).
 
     Coincides with the ordinary transform at a = 1 and satisfies
-    Z_a w (x, omega) = Z (D_{1/a} w)(x/a, a omega).
+    Z_a w (x, omega) = Z (D_{1/a} w)(x/a, a omega).  a must be finite and
+    positive, x and omega finite scalars; raises :class:`UnboundedWindow`
+    where :func:`zak_point` does.
     """
-    if not a > 0:
-        raise ValueError(f"scaled Zak transform requires a > 0, got {a!r}")
+    if not (a > 0 and math.isfinite(a)):
+        raise ValueError(f"scaled Zak transform requires a finite a > 0, got {a!r}")
     a = float(a)
-    env = envelope(w)
+    x, omega = map(float, _finite_arrays("zak_scaled", x=x, omega=omega))
     K = _truncation(w, trunc, a)
-    k0 = round((float(x) + env.center) / a)
+    k0 = round((x + envelope(w).center) / a)
     ks = _indices(k0 - K, k0 + K)
-    vals = evaluate(w, a * ks - float(x))
-    return complex(math.sqrt(a) * np.sum(vals * np.exp(2j * np.pi * a * float(omega) * ks)))
+    vals = _finite_values(w, a * ks - x)
+    return complex(math.sqrt(a) * np.sum(vals * np.exp(2j * np.pi * a * omega * ks)))
 
 
 _DEFAULT_COVARIANCE_SHIFTS = ((0.35, 0.75), (-0.4, 0.2), (1.25, -0.6))
 
 
-def verify_identities(w, sample_points, shifts=None, poisson="closed", trunc=None):
+def verify_identities(w, sample_points, shifts=None, poisson=True, trunc=None):
     """Max absolute defect of the structural Zak identities at sample points.
 
     Checks quasi-periodicity in both variables, covariance under
@@ -180,11 +194,10 @@ def verify_identities(w, sample_points, shifts=None, poisson="closed", trunc=Non
     sample_points : array_like, shape (n, 2)
     shifts : iterable of (xi, eta), optional
         Window shifts for the covariance check.
-    poisson : {"closed", "frft", "skip"}
-        "closed" uses the closed-form Fourier transform of the window and
-        raises :class:`PoissonUnavailable` if there is none; "frft" falls
-        back to the window behind a Fourier link, evaluated through its
-        normal form; "skip" omits the check.
+    poisson : bool
+        Check the Poisson relation (False skips it).  The Fourier transform
+        of every window is the window behind a Fourier link, in closed form
+        through its normal form.
 
     Returns
     -------
@@ -209,14 +222,8 @@ def verify_identities(w, sample_points, shifts=None, poisson="closed", trunc=Non
         worst = max(worst, float(np.max(np.abs(lhs - rhs))))
     report["shift_covariance"] = worst
 
-    if poisson != "skip":
-        fw = fourier_window(w)
-        if fw is None:
-            if poisson == "closed":
-                raise PoissonUnavailable(
-                    "window has no closed-form Fourier transform; "
-                    "pass poisson='frft' or poisson='skip'")
-            fw = window(w.n, (Fourier(),) + w.chain, w.phase)
+    if poisson:
+        fw = window(w.n, (Fourier(),) + w.chain, w.phase)
         # Poisson summation applied to the defining series:
         # Z f (x, omega) = exp(2 pi i x omega) Z f^ (omega, -x)
         rhs = np.exp(2j * np.pi * xs * oms) * zak_point(fw, oms, -xs, trunc)

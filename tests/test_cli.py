@@ -307,14 +307,19 @@ def test_unknown_chain_key_exit_code(tmp_path, capsys, command, chain, message):
 
 @pytest.mark.parametrize("command", ["zak-surface", "frame-bounds"])
 def test_non_finite_closed_form_values_exit_code(tmp_path, capsys, command):
-    # t / a overflows in the dilation, and the chirp turns h_0(inf) = 0 into NaN
-    chain = '[{"op": "dilation", "a": 4e-210}, {"op": "chirp", "q": 1.0}]'
-    out = tmp_path / "x"
-    # warning-free: numpy RuntimeWarnings fail the suite
-    assert run([command, "--n", "8", "--chain", chain, "--out", str(out)]) == 3
-    err = capsys.readouterr().err
-    assert "non-finite values" in err and "Warning" not in err
-    assert not out.exists()
+    # the chirp after the dilation folds to Chirp(1 / a^2), which overflows;
+    # a canonical window whose modulation phase 2 pi omega overflows reaches
+    # the Zak sum with non-finite values
+    for chain, message in (
+            ('[{"op": "dilation", "a": 4e-210}, {"op": "chirp", "q": 1.0}]',
+             "normal form of the window over- or underflows"),
+            ('[{"op": "tfshift", "x": 0.0, "omega": 1e308}]', "non-finite values")):
+        out = tmp_path / "x"
+        # warning-free: numpy RuntimeWarnings fail the suite
+        assert run([command, "--n", "8", "--chain", chain, "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert message in err and "Warning" not in err
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["zak-surface", "frame-bounds", "frft-apply"])

@@ -13,9 +13,9 @@ from gaborkit.cli import main
 from gaborkit.frames import _grid_candidates
 from gaborkit.operators import (Chirp, Dilation, Fourier, FrFT, TFShift,
                                 apply_chain, project_isomorphism)
-from gaborkit.windows import (descriptor, evaluate, parse_descriptor, realize,
-                              window)
-from gaborkit.zak import zak_point, zak_surface
+from gaborkit.windows import (descriptor, evaluate, parity, parse_descriptor,
+                              realize, window)
+from gaborkit.zak import verify_identities, zak_point, zak_surface
 
 # seeded, so that every run of the suite draws the same examples
 SETTINGS = settings(max_examples=40, deadline=None, derandomize=True)
@@ -71,6 +71,19 @@ def test_zak_quasi_periodicity(n, chain, x, omega):
     step_x = zak_point(w, x + 1.0, omega)
     assert abs(step_x - cmath.exp(2j * math.pi * omega) * base) <= 1e-12
     assert abs(zak_point(w, x, omega + 1.0) - base) <= 1e-12
+
+
+@SETTINGS
+@given(orders, chains)
+def test_poisson_relation_and_parity_zeros(n, chain):
+    # the Fourier partner of every window, chirps included, comes from the
+    # fold; links that keep parity keep the Zak zeros of h_n's parity
+    w = window(n, chain)
+    pts = np.random.RandomState(3).uniform(0.0, 1.0, (6, 2))
+    report = verify_identities(w, pts, shifts=())
+    assert report["poisson"] <= 1e-10
+    assert ("parity_zeros" in report) == (parity(w) is not None)
+    assert report.get("parity_zeros", 0.0) <= 1e-10
 
 
 # chains that stay resolved on the default sampling grid through every link,

@@ -7,9 +7,10 @@ import pytest
 from gaborkit.errors import UnboundedWindow
 from gaborkit.operators import (Chirp, Dilation, Fourier, FrFT, TFShift,
                                 apply_chain, apply_fourier)
-from gaborkit.windows import (descriptor, envelope, evaluate, fourier_window,
-                              is_real, normal_form, parity, parse_descriptor,
-                              realize, shifted, window)
+from gaborkit.special import hermite
+from gaborkit.windows import (descriptor, envelope, evaluate, is_real,
+                              normal_form, parity, parse_descriptor, realize,
+                              shifted, window)
 
 
 def test_trailing_frft_becomes_eigenvalue_phase():
@@ -51,20 +52,34 @@ def test_shift_merge_carries_commutation_phase():
     assert np.max(np.abs(evaluate(w, t) - manual)) < 1e-14
 
 
+def kinds(w):
+    return [type(op) for op in w.chain]
+
+
 def test_closed_form_detection():
-    # pointwise chains are their own normal form; an FrFT or Fourier link is
-    # folded, with the pointwise links left of it kept as they are
-    pointwise = window(2, (Dilation(2.0), Chirp(0.3), TFShift(1.0, 2.0)))
-    assert normal_form(pointwise) == pointwise
-    # FrFT on the bare base simplifies away, so this stays pointwise
+    # a chain in the order (TFShift, Chirp, Dilation) is its own normal form,
+    # the same object; every other chain is folded whole into that order
+    for w in (window(2, (TFShift(1.0, 2.0), Chirp(0.3), Dilation(2.0))),
+              window(1, (TFShift(0.5, 0.0), Dilation(0.7))), window(3)):
+        assert normal_form(w) is w
+    # FrFT on the bare base simplifies away, so this is canonical
     bare = window(2, (Chirp(0.3), FrFT(0.5)))
-    assert normal_form(bare) == bare
+    assert normal_form(bare) is bare
     folded = normal_form(window(2, (Dilation(0.5), FrFT(0.5), Chirp(0.3))))
-    assert [type(op) for op in folded.chain] == [Dilation, Chirp, Dilation]
-    assert folded.chain[0] == Dilation(0.5)
+    assert kinds(folded) == [Chirp, Dilation]
     shifted_fold = normal_form(window(1, (Fourier(), TFShift(0.5, 0.25))))
     assert shifted_fold.chain[0] == TFShift(0.25, -0.5)
-    assert all(op.at is not None for op in shifted_fold.chain)
+    assert kinds(shifted_fold) == [TFShift]
+    # a pointwise chain out of that order is folded too:
+    # D_2 C_0.3 pi(1, 2) h_2 (t) = 2^(-1/2) exp(i pi 0.3 u^2)
+    # exp(2 pi i 2 u) h_2(u - 1), u = t / 2
+    w = window(2, (Dilation(2.0), Chirp(0.3), TFShift(1.0, 2.0)))
+    assert kinds(normal_form(w)) == [TFShift, Chirp, Dilation]
+    t = np.linspace(-6.0, 10.0, 801)
+    u = t / 2.0
+    composed = np.exp(1j * math.pi * 0.3 * u * u) * np.exp(4j * math.pi * u) \
+        * hermite(2, u - 1.0) / math.sqrt(2.0)
+    assert np.max(np.abs(evaluate(w, t) - composed)) <= 1e-14
 
 
 def test_folded_evaluation_matches_quadrature():
@@ -94,16 +109,16 @@ def test_realize_matches_closed_form():
 
 
 def test_fourier_window_against_quadrature():
+    # the Fourier partner of a window is the window behind a Fourier link,
+    # in closed form through the normal form
     for w in (window(3), window(2, (Dilation(1.5),)),
               window(1, (TFShift(0.4, -0.3), Dilation(0.8)))):
-        fw = fourier_window(w)
-        assert fw is not None
+        fw = window(w.n, (Fourier(),) + w.chain, w.phase)
         numeric = apply_fourier(realize(w))
         exact = evaluate(fw, numeric.points)
         defect = math.sqrt(float(np.sum(np.abs(numeric.values - exact) ** 2))
                            * numeric.step)
         assert defect < 1e-9
-    assert fourier_window(window(0, (Chirp(0.5),))) is None
 
 
 def test_envelope_dominates_closed_form_windows():

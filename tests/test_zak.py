@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from gaborkit import windows
-from gaborkit.errors import PoissonUnavailable, UnboundedWindow
-from gaborkit.frames import GaborSystem, frame_bounds, reduce_to_multiwindow
+from gaborkit.errors import UnboundedWindow
+from gaborkit.frames import (GaborSystem, finite_frame_spectrum, frame_bounds,
+                             reduce_to_multiwindow)
 from gaborkit.lattices import PRESETS
 from gaborkit.operators import Chirp, Dilation, FrFT, TFShift
 from gaborkit.special import theta3
@@ -99,13 +100,13 @@ def test_identity_defects_small():
 
 
 def test_poisson_fallback_and_error():
+    # the Fourier partner of a chirped window is the window behind a Fourier
+    # link, in closed form through the normal form
     chirped = window(2, (Chirp(0.5),))
     pts = [(0.2, 0.4), (0.7, 0.1)]
-    with pytest.raises(PoissonUnavailable):
-        verify_identities(chirped, pts, poisson="closed")
-    report = verify_identities(chirped, pts, poisson="frft")
+    report = verify_identities(chirped, pts)
     assert report["poisson"] <= 1e-9
-    report = verify_identities(chirped, pts, poisson="skip")
+    report = verify_identities(chirped, pts, poisson=False)
     assert "poisson" not in report
 
 
@@ -119,7 +120,7 @@ def test_parity_zero_points():
 def test_conjugate_symmetry_for_real_windows():
     rng = np.random.RandomState(4)
     pts = rng.uniform(0.0, 1.0, (30, 2))
-    rep = verify_identities(window(2, (Dilation(1.3),)), pts, poisson="skip")
+    rep = verify_identities(window(2, (Dilation(1.3),)), pts, poisson=False)
     assert rep["conjugate_symmetry"] <= 1e-12
 
 
@@ -193,7 +194,7 @@ def test_interpolated_window_satisfies_identities():
     assert any(isinstance(op, FrFT) for op in w.chain)
     rng = np.random.RandomState(21)
     pts = rng.uniform(0.0, 1.0, (10, 2))
-    report = verify_identities(w, pts, poisson="skip")
+    report = verify_identities(w, pts, poisson=False)
     assert report["quasi_periodicity_x"] <= 1e-9
     assert report["quasi_periodicity_omega"] <= 1e-9
     assert report["shift_covariance"] <= 1e-9
@@ -282,15 +283,51 @@ def test_zak_point_rejects_non_finite_arguments(x, omega, name):
 
 
 def test_non_finite_window_values_raise_unbounded_window():
-    # closed form, but t / a overflows and the chirp makes h_0(inf) = 0 NaN
-    # (and warning-free: numpy RuntimeWarnings fail the suite)
-    w = window(0, (Dilation(4e-210), Chirp(1.0)))
-    with pytest.raises(UnboundedWindow, match="non-finite values"):
-        zak_surface(w, 8)
-    with pytest.raises(UnboundedWindow, match="non-finite values"):
-        zak_point(w, 0.25, 0.5)
-    with pytest.raises(UnboundedWindow, match="non-finite values"):
-        zak_point(w, np.array([0.0, 0.5]), 0.5)
+    # the chirp after the dilation folds to Chirp(1 / a^2), which overflows;
+    # the canonical shift's modulation phase 2 pi omega overflows in the sum
+    # (warning-free: numpy RuntimeWarnings fail the suite)
+    for w, message in ((window(0, (Dilation(4e-210), Chirp(1.0))), "normal form"),
+                       (window(0, (TFShift(0.0, 1e308),)), "non-finite values")):
+        with pytest.raises(UnboundedWindow, match=message):
+            zak_surface(w, 8)
+        with pytest.raises(UnboundedWindow, match=message):
+            zak_point(w, 0.25, 0.5)
+        with pytest.raises(UnboundedWindow, match=message):
+            zak_point(w, np.array([0.0, 0.5]), 0.5)
+        with pytest.raises(UnboundedWindow, match=message):
+            zak_scaled(1.0, w, 0.1, 0.2)
+        with pytest.raises(UnboundedWindow, match=message):
+            finite_frame_spectrum(GaborSystem([w], PRESETS["Z2"]), lattice_window=1.0)
+
+
+@pytest.mark.parametrize("x, omega, name", [
+    (math.nan, 0.2, "x"), (0.1, math.inf, "omega"),
+])
+def test_zak_scaled_rejects_non_finite_arguments(x, omega, name):
+    with pytest.raises(ValueError, match=f"zak_scaled requires a finite {name}, got"):
+        zak_scaled(1.0, window(0), x, omega)
+    with pytest.raises(ValueError, match="requires a finite a > 0"):
+        zak_scaled(math.inf, window(0), 0.1, 0.2)
+
+
+def test_auto_truncation_refuses_an_uncertified_cap():
+    # D_30 h_0: the envelope tail at K = 64 is about 1e-6
+    w = window(0, (Dilation(30.0),))
+    with pytest.raises(UnboundedWindow, match=r"up to 64 .* tail there is 1\.\d+e-06"):
+        auto_truncation(w)
+    # an explicit truncation still sums it: the frame bounds of D_30 h_0 over
+    # Z^2 are 30 sqrt 2 at the top
+    report = frame_bounds(GaborSystem([w], PRESETS["Z2"]), 32, trunc=150)
+    assert report.B_est == pytest.approx(30.0 * SQRT2, rel=1e-12)
+
+
+def test_envelope_tail_bounds_the_rest_of_a_wide_window():
+    # D_100 h_0 at K = 64: the 81 summed terms end where the Gaussian of
+    # scale 100 is still large, so the rest needs the geometric bound
+    env = envelope(window(0, (Dilation(100.0),)))
+    j = np.arange(63.0, 5000.0)
+    exact = 2.0 * float(np.sum(env.amplitude * np.exp(-math.pi * j * j / 1e4)))
+    assert exact <= env.tail(63.0) <= 1.01 * exact
 
 
 @pytest.mark.parametrize("trunc", [0, -5])

@@ -29,7 +29,8 @@ from .operators import (Chirp, Dilation, Fourier, FrFT, TFShift, apply_chain,
                         project_isomorphism)
 from .special import theta3
 from .windows import descriptor, parse_descriptor, realize, window
-from .zak import _csv_rows, verify_identities, write_surface_csv, zak_surface
+from .zak import (_csv_rows, _write_json, verify_identities, write_surface_csv,
+                  zak_surface)
 
 
 def _parse_pair(text):
@@ -88,15 +89,6 @@ def _set_from_args(args):
         ps = point_set(ps.generator_matrix,
                        np.vstack([shifts, shifts + z[None, :]]))
     return ps
-
-
-def _write_json(payload, path):
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    if path:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
 
 
 def _cmd_zak_surface(args):

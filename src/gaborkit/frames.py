@@ -25,7 +25,7 @@ from .lattices import (coset_split, enumerate_points, iwasawa_factor,
                        point_set, recompose, transform)
 from .operators import Chirp, Dilation, FrFT, TFShift, project_isomorphism
 from .special import theta3
-from .windows import Window, window
+from .windows import on_torus, window
 from .zak import _finite_values, _surface_tiles, _tile_rows, zak_point
 
 NOT_FRAME = "NotFrame"
@@ -305,6 +305,8 @@ def _grid_candidates(windows, N, trunc):
 
 
 def _search_zeros(windows, resolution, trunc, tol):
+    # |Z| alone is read, so the sums' integers stay near 0 however far g is shifted
+    windows = [on_torus(g) for g in windows]
     N = int(resolution)
     A_grid, B_grid, slack, amp_slack, cand = _grid_candidates(windows, N, trunc)
     polished = sorted(_snap(windows, _polish(windows, cand / N, 1.2 / N, trunc), trunc),

@@ -351,8 +351,6 @@ class Op:
 
     merge = hermite_eigenvalue = None
     angle = 0.0
-    keeps_parity = True  # U maps even/odd functions to even/odd functions
-    keeps_real = False   # U maps real functions to real functions
 
     def __post_init__(self):
         for name, value in vars(self).items():
@@ -369,7 +367,6 @@ class Dilation(Op):
 
     a: float
     tag = "dilation"
-    keeps_real = True
 
     def __post_init__(self):
         if not (math.isfinite(self.a) and self.a > 0):
@@ -443,7 +440,6 @@ class TFShift(Op):
     x: float
     omega: float
     tag = "tfshift"
-    keeps_parity = False
     angle = None
 
     def matrix(self):

@@ -73,24 +73,17 @@ def _hermite_rows(n_max, t):
 def hermite_envelope_constant(n):
     """Return C such that |h_n(t)| <= C (1 + |t|)^n exp(-pi t^2) for all t.
 
-    Built from the absolute-coefficient sum of the degree-n Hermite
-    polynomial, so the bound is rigorous (if crude for large n).  Orders
-    above :data:`MAX_ENVELOPE_ORDER` raise :class:`ValueError`.
+    Built from the absolute-coefficient sum S_n of the degree-n Hermite
+    polynomial, S_(k+1) = 2 S_k + 2k S_(k-1), so the bound is rigorous (if
+    crude for large n).  Orders above :data:`MAX_ENVELOPE_ORDER` raise
+    :class:`ValueError`.
     """
     if n > MAX_ENVELOPE_ORDER:
         raise ValueError(f"Hermite order {n} has no certified envelope; "
                          f"the largest supported order is {MAX_ENVELOPE_ORDER}")
-    if n == 0:
-        return 2.0 ** 0.25
-    prev, cur = [1], [0, 2]
-    for k in range(1, n):
-        nxt = [0] * (k + 2)
-        for i, c in enumerate(cur):
-            nxt[i + 1] += 2 * c
-        for i, c in enumerate(prev):
-            nxt[i] -= 2 * k * c
-        prev, cur = cur, nxt
-    coeff_sum = sum(abs(c) for c in cur)
+    prev, coeff_sum = 0, 1
+    for k in range(n):
+        prev, coeff_sum = coeff_sum, 2 * coeff_sum + 2 * k * prev
     return 2.0 ** 0.25 / math.sqrt(2.0 ** n * math.factorial(n)) \
         * coeff_sum * max(1.0, math.sqrt(2.0 * math.pi)) ** n
 

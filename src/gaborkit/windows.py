@@ -187,9 +187,12 @@ class GaussianEnvelope:
         d = max(float(dist), 0.0)
         j = d + np.arange(0.0, 81.0)
         s2 = self.scale * self.scale
-        # a scale whose square underflows leaves only the center term
-        decay = np.exp(-math.pi * j * j / s2) if s2 > 0.0 else (j == 0.0) * 1.0
-        vals = self.amplitude * (1.0 + j) ** self.degree * decay
+        # in log space, as (1 + j)^degree alone overflows; a scale whose
+        # square underflows leaves only the center term
+        with np.errstate(over="ignore"):
+            vals = self.amplitude * (
+                np.exp(self.degree * np.log1p(j) - math.pi * j * j / s2)
+                if s2 > 0.0 else (j == 0.0) * 1.0)
         last, prev = float(vals[-1]), float(vals[-2])
         if last == 0.0:
             rest = 0.0
@@ -222,15 +225,30 @@ def envelope(w):
 
 
 def parity(w):
-    """+1 / -1 for even / odd windows, None when parity is not preserved."""
-    if not all(op.keeps_parity for op in w.chain):
-        return None
-    return 1 if w.n % 2 == 0 else -1
+    """+1 / -1 for even / odd windows, from x = omega = 0 in the
+    :func:`normal_form`; None for the others."""
+    x, omega, _, _ = _canonical(normal_form(w).chain)
+    return None if x or omega else (-1) ** w.n
 
 
 def is_real(w):
-    """True when the window is real-valued on the real line."""
-    return w.phase.imag == 0.0 and all(op.keeps_real for op in w.chain)
+    """True when the window is real-valued on the real line: omega = q = 0
+    and a real phase in the :func:`normal_form`."""
+    nf = normal_form(w)
+    _, omega, q, _ = _canonical(nf.chain)
+    return not (omega or q) and nf.phase.imag == 0.0
+
+
+def on_torus(w):
+    """A window with the |Z| of w on all of R^2: its :func:`normal_form`
+    with x and omega reduced by fmod(., 1), which is exact; w itself when
+    |x| and |omega| are below 1 already."""
+    nf = normal_form(w)
+    x, omega, q, a = _canonical(nf.chain)
+    if abs(x) < 1.0 and abs(omega) < 1.0:
+        return w
+    return window(w.n, (TFShift(math.fmod(x, 1.0), math.fmod(omega, 1.0)),
+                        Chirp(q), Dilation(a)), nf.phase)
 
 
 def shifted(w, x, omega):

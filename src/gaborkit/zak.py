@@ -10,13 +10,14 @@ rationals land exactly on nodes.
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from .errors import UnboundedWindow
-from .operators import Fourier
+from .operators import Dilation, Fourier
 from .windows import (Window, descriptor, envelope, evaluate, is_real, parity,
                       shifted, window)
 
@@ -26,16 +27,16 @@ TRUNC_MAX = 64
 
 
 @lru_cache(maxsize=64)
-def auto_truncation(w, scale=1.0):
-    """Smallest K in [8, 64] whose envelope tail at distance scale*(K-1) is < 1e-14.
+def auto_truncation(w):
+    """Smallest K in [8, 64] whose envelope tail at distance K-1 is < 1e-14.
 
     Raises :class:`UnboundedWindow`, naming the tail that K = 64 reaches,
     when there is none; an explicit truncation is then the way to sum the
-    series.  Cached per (window, scale).
+    series.  Cached per window.
     """
     env = envelope(w)
     for K in range(TRUNC_MIN, TRUNC_MAX + 1):
-        tail = env.tail(scale * (K - 1))
+        tail = env.tail(K - 1)
         if tail < _TRUNC_TOL:
             return K
     raise UnboundedWindow(
@@ -43,19 +44,17 @@ def auto_truncation(w, scale=1.0):
         f"tail there is {tail:.3g}, not below {_TRUNC_TOL:g}; give an explicit truncation")
 
 
-def _truncation(w, trunc, *scale):
-    # trunc, or the certified default; auto_truncation(w) and
-    # auto_truncation(w, 1.0) are distinct cache keys, so scale is passed on
-    # only when given
-    K = int(trunc) if trunc is not None else auto_truncation(w, *scale)
+def _truncation(w, trunc):
+    # trunc, or the certified default
+    K = int(trunc) if trunc is not None else auto_truncation(w)
     if K < 1:
         raise ValueError(f"truncation must be at least 1, got {trunc!r}")
     return K
 
 
-def zak_tail_bound(w, trunc, scale=1.0):
+def zak_tail_bound(w, trunc):
     """Certified bound on the dropped series tail for truncation trunc."""
-    return envelope(w).tail(scale * (trunc - 1))
+    return envelope(w).tail(trunc - 1)
 
 
 def _finite_values(w, t):
@@ -147,39 +146,37 @@ def _surface_tiles(w, N, trunc, out=None):
 
 
 def zak_surface(w, resolution, trunc=None):
-    """Evaluate the Zak transform of a window on the fundamental-domain grid;
-    raises :class:`UnboundedWindow` where :func:`zak_point` does."""
+    """Zak transform of a window on the fundamental-domain grid; raises
+    :class:`UnboundedWindow` where :func:`zak_point` does or its tail bound is infinite."""
     N, K = int(resolution), _truncation(w, trunc)
+    tail = zak_tail_bound(w, K)
+    if not math.isfinite(tail):
+        raise UnboundedWindow(f"the envelope tail of truncation {K} is not finite")
     values = np.empty((N, N) if N >= 8 else (0, 0), complex)  # a grid too large fails here
     for _ in _surface_tiles(w, N, K, values):
         pass
     return ZakSurface(values=values, window_desc=w, resolution=N,
-                      truncation=K, tail_bound=zak_tail_bound(w, K))
+                      truncation=K, tail_bound=tail)
 
 
 def zak_scaled(a, w, x, omega, trunc=None):
-    """Scaled Zak transform sqrt(a) sum_k w(a k - x) exp(2 pi i a k omega).
+    """Scaled Zak transform sqrt(a) sum_k w(a k - x) exp(2 pi i a k omega),
+    summed as Z (D_{1/a} w)(x/a, a omega) by :func:`zak_point`.
 
-    Coincides with the ordinary transform at a = 1 and satisfies
-    Z_a w (x, omega) = Z (D_{1/a} w)(x/a, a omega).  a must be finite and
-    positive, x and omega finite scalars; raises :class:`UnboundedWindow`
-    where :func:`zak_point` does.
+    a must be finite and positive, x and omega finite scalars; raises
+    :class:`UnboundedWindow` where :func:`zak_point` does.
     """
     if not (a > 0 and math.isfinite(a)):
         raise ValueError(f"scaled Zak transform requires a finite a > 0, got {a!r}")
-    a = float(a)
     x, omega = map(float, _finite_arrays("zak_scaled", x=x, omega=omega))
-    K = _truncation(w, trunc, a)
-    k0 = round((x + envelope(w).center) / a)
-    ks = _indices(k0 - K, k0 + K)
-    vals = _finite_values(w, a * ks - x)
-    return complex(math.sqrt(a) * np.sum(vals * np.exp(2j * np.pi * a * omega * ks)))
+    dilated = window(w.n, (Dilation(1.0 / a),) + w.chain, w.phase)
+    return zak_point(dilated, x / a, a * omega, trunc)
 
 
 _DEFAULT_COVARIANCE_SHIFTS = ((0.35, 0.75), (-0.4, 0.2), (1.25, -0.6))
 
 
-def verify_identities(w, sample_points, shifts=None, poisson=True, trunc=None):
+def verify_identities(w, sample_points, shifts=None, trunc=None):
     """Max absolute defect of the structural Zak identities at sample points.
 
     Checks quasi-periodicity in both variables, covariance under
@@ -194,10 +191,6 @@ def verify_identities(w, sample_points, shifts=None, poisson=True, trunc=None):
     sample_points : array_like, shape (n, 2)
     shifts : iterable of (xi, eta), optional
         Window shifts for the covariance check.
-    poisson : bool
-        Check the Poisson relation (False skips it).  The Fourier transform
-        of every window is the window behind a Fourier link, in closed form
-        through its normal form.
 
     Returns
     -------
@@ -222,12 +215,10 @@ def verify_identities(w, sample_points, shifts=None, poisson=True, trunc=None):
         worst = max(worst, float(np.max(np.abs(lhs - rhs))))
     report["shift_covariance"] = worst
 
-    if poisson:
-        fw = window(w.n, (Fourier(),) + w.chain, w.phase)
-        # Poisson summation applied to the defining series:
-        # Z f (x, omega) = exp(2 pi i x omega) Z f^ (omega, -x)
-        rhs = np.exp(2j * np.pi * xs * oms) * zak_point(fw, oms, -xs, trunc)
-        report["poisson"] = float(np.max(np.abs(base - rhs)))
+    # the Poisson relation, f^ the window behind a Fourier link
+    fw = window(w.n, (Fourier(),) + w.chain, w.phase)
+    rhs = np.exp(2j * np.pi * xs * oms) * zak_point(fw, oms, -xs, trunc)
+    report["poisson"] = float(np.max(np.abs(base - rhs)))
 
     par = parity(w)
     if par is not None:
@@ -264,12 +255,19 @@ def write_surface_csv(surface, csv_path, meta_path=None):
         for x, row in zip(grid, surface.values):
             fh.write(_csv_rows(row, [x + omega for omega in grid]))
     if meta_path is not None:
-        meta = {
+        _write_json({
             "window": descriptor(surface.window_desc),
             "resolution": surface.resolution,
             "truncation": surface.truncation,
             "tail_bound": float(surface.tail_bound),
-        }
-        with open(meta_path, "w", encoding="utf-8", newline="\n") as fh:
-            json.dump(meta, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        }, meta_path)
+
+
+def _write_json(payload, path=None):
+    """Strict JSON (ValueError on NaN or Infinity) to a path or stdout, made whole first."""
+    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    if not path:
+        sys.stdout.write(text)
+        return
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(text)

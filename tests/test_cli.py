@@ -308,12 +308,16 @@ def test_unknown_chain_key_exit_code(tmp_path, capsys, command, chain, message):
 @pytest.mark.parametrize("command", ["zak-surface", "frame-bounds"])
 def test_non_finite_closed_form_values_exit_code(tmp_path, capsys, command):
     # the chirp after the dilation folds to Chirp(1 / a^2), which overflows;
-    # a canonical window whose modulation phase 2 pi omega overflows reaches
-    # the Zak sum with non-finite values
-    for chain, message in (
-            ('[{"op": "dilation", "a": 4e-210}, {"op": "chirp", "q": 1.0}]',
-             "normal form of the window over- or underflows"),
-            ('[{"op": "tfshift", "x": 0.0, "omega": 1e308}]', "non-finite values")):
+    # a canonical window whose chirp phase pi q t^2 overflows reaches the Zak
+    # sum with non-finite values.  So does one whose modulation phase
+    # 2 pi omega t overflows, in zak-surface; the zero search of frame-bounds
+    # reduces omega to the torus (see test_window_shifted_far_is_not_a_frame)
+    chains = [('[{"op": "dilation", "a": 4e-210}, {"op": "chirp", "q": 1.0}]',
+               "normal form of the window over- or underflows"),
+              ('[{"op": "chirp", "q": 1e308}]', "non-finite values")]
+    if command == "zak-surface":
+        chains.append(('[{"op": "tfshift", "x": 0.0, "omega": 1e308}]', "non-finite values"))
+    for chain, message in chains:
         out = tmp_path / "x"
         # warning-free: numpy RuntimeWarnings fail the suite
         assert run([command, "--n", "8", "--chain", chain, "--out", str(out)]) == 3
@@ -433,13 +437,77 @@ def test_find_zeros_negative_tol_exit_code(tmp_path, capsys):
 @pytest.mark.parametrize("shift", ["1e17", "8e15"])
 @pytest.mark.parametrize("command", ["frame-bounds", "zak-surface"])
 def test_window_shifted_past_float_integers_exit_code(tmp_path, capsys, command, shift):
-    # h_0 over Z2 is no frame; past 2**52 the Zak sums read the window at
-    # the wrong points and reported LikelyFrame (1e17) or a wrong B_est (8e15)
+    # h_0 over Z2 is no frame.  Past 2**52 floats skip k - x, so a Zak sum of
+    # the window as it is (zak-surface, with its phase) is refused; the zero
+    # search of frame-bounds reads |Z| alone, on the torus, and finds the zero
     out = tmp_path / "x"
-    assert run([command, "--hermite", "0", "--shift", f"{shift},0", "--n", "32",
-                "--out", str(out)]) == 3
-    assert "|k| >= 2**52" in capsys.readouterr().err
+    code = run([command, "--hermite", "0", "--shift", f"{shift},0", "--n", "32",
+                "--out", str(out)])
+    captured = capsys.readouterr()
+    if command == "zak-surface":
+        assert code == 3
+        assert "|k| >= 2**52" in captured.err
+        assert not out.exists()
+    else:
+        assert code == 0
+        assert captured.out.strip() == "NotFrame"
+
+
+@pytest.mark.parametrize("shift", ["1e7,0", "4e15,0", "1e17,0", "1e300,0", "0,1e308"])
+def test_window_shifted_far_is_not_a_frame(tmp_path, capsys, shift):
+    # |Z pi(x, omega) h_0| is |Z h_0| translated on the torus, so the zero
+    # at (1/2, 1/2) stays however far h_0 is shifted by a whole number
+    out = tmp_path / "report.json"
+    assert run(["frame-bounds", "--hermite", "0", "--shift", shift, "--n", "32",
+                "--out", str(out)]) == 0
+    assert capsys.readouterr().out.strip() == "NotFrame"
+    report = json.loads(out.read_text())
+    assert [(z["x"], z["omega"]) for z in report["zeros"]] == [(0.5, 0.5)]
+    assert report["zeros"][0]["residual"] <= 1e-10
+
+
+@pytest.mark.parametrize("omega", [0.5, 0.25])
+def test_find_zeros_of_a_far_shifted_window_are_translated(tmp_path, omega):
+    # the zeros of pi(1e17, omega) h_3 are those of h_3 translated by (0, -omega)
+    zeros = {}
+    for shift in ("0,0", f"1e17,{omega}"):
+        out = tmp_path / "zeros.json"
+        assert run(["find-zeros", "--hermite", "3", "--shift", shift, "--n", "64",
+                    "--out", str(out)]) == 0
+        zeros[shift] = json.loads(out.read_text())["zeros"]
+    assert len(zeros["0,0"]) == 4
+    assert all(z["residual"] <= 1e-10 for found in zeros.values() for z in found)
+    assert sorted((z["x"], (z["omega"] - omega) % 1.0) for z in zeros["0,0"]) \
+        == sorted((z["x"], z["omega"]) for z in zeros[f"1e17,{omega}"])
+
+
+def strict_json(path):
+    """The JSON file at path, refusing NaN and Infinity."""
+    def refuse(name):
+        raise ValueError(f"{path} holds {name}")
+    return json.loads(path.read_text(), parse_constant=refuse)
+
+
+def test_surface_sidecar_of_a_high_order_is_strict_json(tmp_path, capsys):
+    # (1 + j)^150 overflows a float in the envelope tail; the sidecar's
+    # tail bound is summed in log space and stays finite
+    out = tmp_path / "s.csv"
+    assert run(["zak-surface", "--hermite", "150", "--n", "8", "--truncation", "300",
+                "--out", str(out)]) == 0
+    assert "Warning" not in capsys.readouterr().err
+    meta = strict_json(tmp_path / "s.csv.meta.json")
+    assert meta["truncation"] == 300 and 0.0 <= meta["tail_bound"] < 1e-300
+
+
+def test_surface_with_an_infinite_tail_bound_exit_code(tmp_path, capsys):
+    # D_1000 h_1 still rises at the end of the envelope's summed terms, so
+    # truncation 10 has no finite tail bound: nothing is written
+    out = tmp_path / "s.csv"
+    assert run(["zak-surface", "--hermite", "1", "--dilate", "1000", "--n", "8",
+                "--truncation", "10", "--out", str(out)]) == 3
+    assert "envelope tail of truncation 10 is not finite" in capsys.readouterr().err
     assert not out.exists()
+    assert not (tmp_path / "s.csv.meta.json").exists()
 
 
 def test_window_shifted_far_in_time_is_not_a_frame(tmp_path, capsys):

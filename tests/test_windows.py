@@ -1,6 +1,7 @@
 import cmath
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -11,6 +12,7 @@ from gaborkit.special import hermite
 from gaborkit.windows import (descriptor, envelope, evaluate, is_real,
                               normal_form, parity, parse_descriptor, realize,
                               shifted, window)
+from gaborkit.zak import verify_identities
 
 
 def test_trailing_frft_becomes_eigenvalue_phase():
@@ -157,6 +159,34 @@ def test_parity_and_reality():
     assert parity(window(2, (TFShift(0.5, 0.0),))) is None
     assert is_real(window(2, (Dilation(2.0),)))
     assert not is_real(window(2, (Chirp(0.1),)))
+
+
+def test_parity_and_reality_read_the_normal_form():
+    # the two shifts cancel through the dilation: the chain folds to x = 0
+    chain = (TFShift(0.6, 0.0), Dilation(2.0), TFShift(-0.3, 0.0))
+    assert normal_form(window(3, chain)).chain == (Dilation(2.0),)
+    assert parity(window(3, chain)) == -1 and parity(window(2, chain)) == 1
+    assert is_real(window(3, chain))
+    # a time shift keeps a window real but not even; a modulation, a chirp
+    # or a complex phase makes it complex
+    assert is_real(window(1, (TFShift(0.4, 0.0), Dilation(1.5))))
+    assert parity(window(1, (TFShift(0.4, 0.0),))) is None
+    assert not is_real(window(1, (TFShift(0.0, 0.4),)))
+    assert not is_real(window(1, (Dilation(1.5),), phase=1j))
+    rep = verify_identities(window(3, chain), [(0.1, 0.2), (0.7, 0.4)])
+    assert rep["parity_zeros"] <= 1e-12 and rep["conjugate_symmetry"] <= 1e-12
+
+
+def test_envelope_tail_of_a_high_order_is_summed_in_log_space():
+    # (1 + j)^150 alone overflows a float from j of about 112; the tail still
+    # matches a 40-digit sum of its 81 terms, and is warning-free past there
+    env = envelope(window(150))
+    with mp.workdps(40):
+        for d in (0.0, 7.0):
+            ref = 2 * mp.fsum(env.amplitude * mp.mpf(1 + d + j) ** 150
+                              * mp.exp(-mp.pi * (d + j) ** 2) for j in range(81))
+            assert env.tail(d) == pytest.approx(float(ref), rel=1e-13)
+    assert env.tail(120.0) == 0.0
 
 
 def test_shifted_helper():

@@ -11,7 +11,7 @@ from gaborkit.frames import (GaborSystem, finite_frame_spectrum, frame_bounds,
 from gaborkit.lattices import PRESETS
 from gaborkit.operators import Chirp, Dilation, FrFT, TFShift
 from gaborkit.special import theta3
-from gaborkit.windows import envelope, window
+from gaborkit.windows import envelope, evaluate, window
 from gaborkit.zak import (ZakSurface, auto_truncation, verify_identities,
                           write_surface_csv, zak_point, zak_scaled,
                           zak_surface, zak_tail_bound)
@@ -83,6 +83,17 @@ def test_scaled_zak_dilation_identity():
         assert abs(lhs - rhs) < 1e-12
 
 
+def test_scaled_zak_matches_the_direct_sum():
+    # zak_scaled sums D_{1/a} w through zak_point; the reference sums
+    # sqrt(a) w(a k - x) exp(2 pi i a k omega) from the window's values
+    w = window(2, (TFShift(3.7, -1.2), Chirp(0.6), Dilation(1.3)))
+    k = np.arange(-40.0, 41.0)
+    for a, x, omega in [(SQRT2, 0.3, 0.7), (0.6, -1.1, 0.25), (2.5, 4.2, -0.4)]:
+        direct = math.sqrt(a) * np.sum(evaluate(w, a * k - x)
+                                       * np.exp(2j * np.pi * a * k * omega))
+        assert abs(zak_scaled(a, w, x, omega) - direct) <= 1e-12
+
+
 def test_scaled_zak_quasi_periodicity():
     w = window(0)
     x, omega = 0.3, 0.7
@@ -106,8 +117,6 @@ def test_poisson_fallback_and_error():
     pts = [(0.2, 0.4), (0.7, 0.1)]
     report = verify_identities(chirped, pts)
     assert report["poisson"] <= 1e-9
-    report = verify_identities(chirped, pts, poisson=False)
-    assert "poisson" not in report
 
 
 def test_parity_zero_points():
@@ -120,7 +129,7 @@ def test_parity_zero_points():
 def test_conjugate_symmetry_for_real_windows():
     rng = np.random.RandomState(4)
     pts = rng.uniform(0.0, 1.0, (30, 2))
-    rep = verify_identities(window(2, (Dilation(1.3),)), pts, poisson=False)
+    rep = verify_identities(window(2, (Dilation(1.3),)), pts)
     assert rep["conjugate_symmetry"] <= 1e-12
 
 
@@ -194,7 +203,7 @@ def test_interpolated_window_satisfies_identities():
     assert any(isinstance(op, FrFT) for op in w.chain)
     rng = np.random.RandomState(21)
     pts = rng.uniform(0.0, 1.0, (10, 2))
-    report = verify_identities(w, pts, poisson=False)
+    report = verify_identities(w, pts)
     assert report["quasi_periodicity_x"] <= 1e-9
     assert report["quasi_periodicity_omega"] <= 1e-9
     assert report["shift_covariance"] <= 1e-9

@@ -22,8 +22,9 @@ from .operators import (Chirp, Dilation, Fourier, FrFT, SampledFunction,
                         grid_points, matched_phase_residual,
                         project_isomorphism, sample, support_radius)
 from .special import ThetaValue, hermite, hermite_stack, theta3
-from .windows import (Window, descriptor, envelope, evaluate, normal_form,
-                      parse_descriptor, parity, realize, shifted, window)
+from .windows import (NormalForm, Window, descriptor, envelope, evaluate,
+                      normal_form, parse_descriptor, parity, realize, shifted,
+                      window)
 from .zak import (ZakSurface, auto_truncation, verify_identities,
                   write_surface_csv, zak_point, zak_scaled, zak_surface,
                   zak_tail_bound)

@@ -20,8 +20,7 @@ import sys
 import numpy as np
 
 from .errors import GaborError, IrreducibleSet
-from .frames import (GaborSystem, find_zak_zeros, frame_bounds,
-                     reduce_to_multiwindow, report_to_json,
+from .frames import (GaborSystem, find_zak_zeros, frame_bounds, report_to_json,
                      theta_zero_certificate)
 from .lattices import PRESETS, point_set
 from .operators import (Chirp, Dilation, Fourier, FrFT, TFShift, apply_chain,
@@ -102,9 +101,7 @@ def _cmd_zak_surface(args):
 
 
 def _cmd_frame_bounds(args):
-    w = _window_from_args(args)
-    ps = _set_from_args(args)
-    system = reduce_to_multiwindow(GaborSystem(windows=[w], point_set=ps))
+    system = GaborSystem([_window_from_args(args)], _set_from_args(args))
     report = frame_bounds(system, resolution=args.n, trunc=args.truncation)
     _write_json(report_to_json(report), args.out)
     print(report.verdict)

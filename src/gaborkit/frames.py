@@ -1,12 +1,13 @@
 """Frame analysis of Gabor systems over unions of shifted lattices.
 
-A system over a reducible point set is first rewritten as a multi-window
-system over the integer lattice; the frame bounds are then the extrema of
-the multi-window Zak objective sum_m |Z g_m|^2 on the fundamental domain.
-The grid stage holds the objective F (8N^2 bytes), a tile of whole rows
-(2^14 values while N <= 2^14) and the Zak sum's O(N) factors: F is summed
-from row tiles of the Zak surfaces, then one pass over tiles padded with a
-torus halo gives the slacks of F and of its square root and the 3 x 3 minima.
+:func:`frame_bounds` first rewrites a system over a reducible point set as
+a multi-window system over the integer lattice; the frame bounds are then
+the extrema of the multi-window Zak objective sum_m |Z g_m|^2 on the
+fundamental domain.  The grid stage holds the objective F (8N^2 bytes), a
+tile of whole rows (2^14 values while N <= 2^14) and the Zak sum's O(N)
+factors: F is summed from row tiles of the Zak surfaces, then one pass over
+tiles padded with a torus halo gives the slacks of F and of its square root
+and the 3 x 3 minima.
 Candidate grid minima are refined together by damped Newton steps on batched
 Zak values (to a relative gain of 1e-12); one batched evaluation then snaps
 each coordinate to a rational of denominator at most 8 within 1e-6 where
@@ -25,7 +26,7 @@ from .lattices import (coset_split, enumerate_points, iwasawa_factor,
                        point_set, recompose, transform)
 from .operators import Chirp, Dilation, FrFT, TFShift, project_isomorphism
 from .special import theta3
-from .windows import on_torus, window
+from .windows import window
 from .zak import _finite_values, _surface_tiles, _tile_rows, zak_point
 
 NOT_FRAME = "NotFrame"
@@ -124,16 +125,6 @@ def reduce_to_multiwindow(sys):
                 ops = (TFShift(float(s[0]), float(s[1])),) + ops
             new_windows.append(window(g.n, ops, g.phase))
     return GaborSystem(windows=new_windows, point_set=point_set(np.eye(2)))
-
-
-def _require_integer_lattice(sys):
-    gen = sys.point_set.generator_matrix
-    shifts = sys.point_set.shift_array
-    if np.max(np.abs(gen - np.eye(2))) > 1e-9 or np.max(np.abs(shifts)) > 1e-9 \
-            or len(shifts) != 1:
-        raise ValueError(
-            "system must be over the plain integer lattice; "
-            "apply reduce_to_multiwindow first")
 
 
 # stencil of the local model: the point, +-h in each coordinate for first
@@ -305,8 +296,6 @@ def _grid_candidates(windows, N, trunc):
 
 
 def _search_zeros(windows, resolution, trunc, tol):
-    # |Z| alone is read, so the sums' integers stay near 0 however far g is shifted
-    windows = [on_torus(g) for g in windows]
     N = int(resolution)
     A_grid, B_grid, slack, amp_slack, cand = _grid_candidates(windows, N, trunc)
     polished = sorted(_snap(windows, _polish(windows, cand / N, 1.2 / N, trunc), trunc),
@@ -329,6 +318,8 @@ def _search_zeros(windows, resolution, trunc, tol):
 def frame_bounds(sys, resolution=64, trunc=None):
     """Estimate frame bounds and locate zeros of the multi-window Zak objective.
 
+    The system is first reduced to windows over Z^2 by
+    :func:`reduce_to_multiwindow`, which leaves a reduced system as it is.
     The objective sum_m |Z g_m|^2 is evaluated on an N x N grid; grid nodes
     that are candidate zeros are polished together by damped Newton steps
     (Levenberg-Marquardt damping, Hessian J^T J plus the residual curvature)
@@ -340,9 +331,8 @@ def frame_bounds(sys, resolution=64, trunc=None):
     such a rational point), LikelyFrame only when the grid minimum clears
     ten times the grid-Lipschitz slack, and Inconclusive otherwise.
     """
-    _require_integer_lattice(sys)
     A_est, B_grid, slack, zeros = _search_zeros(
-        sys.windows, resolution, trunc, tol=_CERTIFIED_RESIDUAL)
+        reduce_to_multiwindow(sys).windows, resolution, trunc, tol=_CERTIFIED_RESIDUAL)
     certified = [z for z in zeros
                  if z.residual <= _CERTIFIED_RESIDUAL
                  and None not in (_small_rational(z.x), _small_rational(z.omega))]

@@ -58,13 +58,17 @@ def point_set(generator, shifts=((0.0, 0.0),)):
 
     Shifts are reduced to the fundamental domain of the generator,
     deduplicated within 1e-9 (in generator coordinates), and ordered
-    lexicographically.  A non-finite generator entry or shift raises
-    :class:`ValueError`.
+    lexicographically.  A non-finite generator entry or shift, or shifts
+    that are not one or more pairs, raise :class:`ValueError`.
     """
     gen = np.asarray(generator, dtype=float)
     if gen.shape != (2, 2):
         raise ValueError(f"generator must be 2x2, got shape {gen.shape}")
-    shifts = np.atleast_2d(np.asarray(shifts, dtype=float))
+    shifts = np.asarray(shifts, dtype=float)
+    if shifts.ndim > 2 or np.atleast_2d(shifts).shape[1:] != (2,) or not shifts.size:
+        raise ValueError("point set shifts must be one or more pairs (x, omega), "
+                         f"got shape {shifts.shape}")
+    shifts = np.atleast_2d(shifts)
     if not np.isfinite(gen).all():
         i, j = np.argwhere(~np.isfinite(gen))[0]
         raise ValueError(f"point set generator entry ({i}, {j}) must be finite, "

@@ -339,26 +339,22 @@ class Op:
     Immutable, compared by kind and fields (``Chirp(0.7) != Dilation(0.7)``),
     with finite fields.  A subclass holds every fact about its kind, None
     where it lacks one: ``tag`` (JSON name), ``matrix()`` (A), ``apply(f)``,
-    ``is_identity()``, ``merge(right)`` ((op, c) with self . right = c op for
-    the same kind), ``hermite_eigenvalue(n)`` and ``angle``: U is
-    exp(i angle / 2) times the metaplectic operator of A that maps
-    exp(i pi tau t^2) to j^(-1/2) exp(i pi tau' t^2), j = A11 + A12 tau (0
-    for dilation and chirp, the rotation angle in (-pi, pi] for FrFT and
-    Fourier, None for a shift, which is not metaplectic).  Values, envelopes
-    and Fourier transforms of windows come from these matrices and angles
-    alone (:func:`gaborkit.windows.normal_form`).
+    ``hermite_eigenvalue(n)`` and ``angle``: U is exp(i angle / 2) times the
+    metaplectic operator of A that maps exp(i pi tau t^2) to
+    j^(-1/2) exp(i pi tau' t^2), j = A11 + A12 tau (0 for dilation and chirp,
+    the rotation angle in (-pi, pi] for FrFT and Fourier, None for a shift,
+    which is not metaplectic).  How links compose, and so the values,
+    envelopes and Fourier transforms of windows, follows from these matrices
+    and angles alone (:func:`gaborkit.windows.normal_form`).
     """
 
-    merge = hermite_eigenvalue = None
+    hermite_eigenvalue = None
     angle = 0.0
 
     def __post_init__(self):
         for name, value in vars(self).items():
             if not math.isfinite(value):
                 raise ValueError(f"{self.tag} requires a finite {name}, got {value!r}")
-
-    def is_identity(self):
-        return False
 
 
 @dataclass(frozen=True)
@@ -378,12 +374,6 @@ class Dilation(Op):
     def apply(self, f):
         return apply_dilation(self.a, f)
 
-    def is_identity(self):
-        return self.a == 1.0
-
-    def merge(self, right):
-        return Dilation(self.a * right.a), 1.0
-
 
 @dataclass(frozen=True)
 class Chirp(Op):
@@ -397,12 +387,6 @@ class Chirp(Op):
 
     def apply(self, f):
         return apply_chirp(self.q, f)
-
-    def is_identity(self):
-        return self.q == 0.0
-
-    def merge(self, right):
-        return Chirp(self.q + right.q), 1.0
 
 
 @dataclass(frozen=True)
@@ -422,13 +406,6 @@ class FrFT(Op):
     def apply(self, f):
         return apply_frft(self.r, f)
 
-    def is_identity(self):
-        rm = self.r % math.tau
-        return min(rm, math.tau - rm) < 1e-12
-
-    def merge(self, right):
-        return FrFT(self.r + right.r), 1.0
-
     def hermite_eigenvalue(self, n):
         return cmath.exp(-1j * n * self.r)
 
@@ -447,14 +424,6 @@ class TFShift(Op):
 
     def apply(self, f):
         return apply_tf_shift((self.x, self.omega), f)
-
-    def is_identity(self):
-        return self.x == 0.0 and self.omega == 0.0
-
-    def merge(self, right):
-        # pi(z1) pi(z2) = exp(-2 pi i x1 omega2) pi(z1 + z2)
-        extra = cmath.exp(-2j * math.pi * self.x * right.omega)
-        return TFShift(self.x + right.x, self.omega + right.omega), extra
 
 
 @dataclass(frozen=True)

@@ -2,11 +2,11 @@
 
 Every window is c pi(x, omega) Chirp(q) Dilation(a) h_n: each operator is
 metaplectic or a shift, so it maps that form to another one through its
-2 x 2 matrix.  :func:`normal_form` folds a chain into it, and the values,
-the decay envelope and the Fourier transform of every window, pointwise or
-not, are read from those numbers.  A fractional link on the bare Hermite
-base collapses to the eigenvalue phase exp(-i n r) already when the window
-is built.
+2 x 2 matrix.  :func:`normal_form` folds a chain into those numbers, and is
+the only code that rewrites a chain: the values, the decay envelope, the
+parity and the reality of a window are read from them.  A window keeps its
+chain as given, except that a fractional link on the bare Hermite base
+collapses to the eigenvalue phase exp(-i n r) when the window is built.
 """
 
 import cmath
@@ -14,6 +14,7 @@ import dataclasses
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -33,78 +34,65 @@ class Window:
 
 
 def window(n, chain=(), phase=1.0):
-    """Build a window, normalizing its operator chain.
+    """Build a window, keeping its operator chain as given.
 
-    Identity operators are dropped, adjacent operators of the same kind are
-    merged (exactly, including the commutation phase for shifts), and a
-    trailing fractional Fourier transform or Fourier transform acting on the
-    bare Hermite base is absorbed into the phase via the eigenvalue relation
-    F_r h_n = exp(-i n r) h_n.
+    A trailing fractional Fourier transform or Fourier transform acting on
+    the bare Hermite base is absorbed into the phase through the eigenvalue
+    relation F_r h_n = exp(-i n r) h_n, which is exact; the fold of
+    :func:`normal_form` would round that phase.
     """
     if n != int(n) or n < 0:
         raise ValueError(f"Hermite order must be a nonnegative integer, got {n!r}")
     n = int(n)
     ops = list(chain)
     phase = complex(phase)
-    while True:
-        if ops and ops[-1].hermite_eigenvalue is not None:
-            phase *= ops.pop().hermite_eigenvalue(n)
-            continue
-        i = next((i for i, op in enumerate(ops) if op.is_identity()), None)
-        if i is not None:
-            del ops[i]
-            continue
-        i = next((i for i in range(len(ops) - 1) if ops[i].merge is not None
-                  and type(ops[i]) is type(ops[i + 1])), None)
-        if i is None:
-            return Window(n, tuple(ops), phase)
-        op, extra_phase = ops[i].merge(ops[i + 1])
-        phase *= extra_phase
-        ops[i:i + 2] = [op]
+    while ops and ops[-1].hermite_eigenvalue is not None:
+        phase *= ops.pop().hermite_eigenvalue(n)
+    return Window(n, tuple(ops), phase)
 
 
+class NormalForm(NamedTuple):
+    """The numbers of a window c pi(x, omega) Chirp(q) Dilation(a) h_n; the
+    defaults are the identity's."""
+
+    phase: complex
+    x: float = 0.0
+    omega: float = 0.0
+    q: float = 0.0
+    a: float = 1.0
+
+
+# the kinds of a normal form, in its order; no two kinds share a field name
 _CANONICAL = (TFShift, Chirp, Dilation)
-# the fields of the canonical kinds at the identity; no two kinds share a name
-_IDENTITY = {"x": 0.0, "omega": 0.0, "q": 0.0, "a": 1.0}
-
-
-def _canonical(chain):
-    """(x, omega, q, a) of a chain whose kinds are a subsequence of
-    (TFShift, Chirp, Dilation), with the identity's values for the kinds it
-    lacks; None for any other chain."""
-    kinds = [type(op) for op in chain]
-    if kinds != [kind for kind in _CANONICAL if kind in kinds]:
-        return None
-    params = dict(_IDENTITY)
-    for op in chain:
-        params.update(vars(op))
-    return tuple(params.values())
 
 
 @lru_cache(maxsize=64)
 def normal_form(w):
-    """The equal window c pi(x, omega) Chirp(q) Dilation(a) h_n.
+    """The :class:`NormalForm` of a window: w = c pi(x, omega) Chirp(q) Dilation(a) h_n.
 
-    A window whose chain is already in that order is returned as it is;
-    any other chain is folded whole.  The fold runs from the state
-    c pi(x, omega) mu h_n with mu the metaplectic operator that maps
-    exp(-pi t^2) to exp(i pi tau t^2), starting at (c, x, omega, tau) =
-    (1, 0, 0, i).  A shift merges into pi(x, omega); any other link of
-    matrix [[A, B], [C, D]] and angle rho (:class:`Op`) sets j = A + B tau,
-    tau <- (C + D tau) / j, c <- c exp(i (rho / 2 - (n + 1/2) arg j)), and
-    moves pi(x, omega) past itself: (x, omega) <- A (x, omega) with
-    c <- c exp(i pi (x omega - x' omega')).  At the end q = Re tau and
-    a = (Im tau)^(-1/2).  Raises :class:`UnboundedWindow` when that
-    arithmetic over- or underflows.  Cached per window.
+    A chain already in that order is read as it is; any other chain is
+    folded whole.  The fold runs from the state c pi(x, omega) mu h_n with
+    mu the metaplectic operator that maps exp(-pi t^2) to exp(i pi tau t^2),
+    starting at (c, x, omega, tau) = (1, 0, 0, i); c is multiplied by the
+    window's phase at the end.  A shift link pi(z) merges into pi(x, omega)
+    by pi(z) pi(x, omega) = exp(-2 pi i z_x omega) pi(z + (x, omega)); any
+    other link of matrix [[A, B], [C, D]] and angle rho (:class:`Op`) sets
+    j = A + B tau, tau <- (C + D tau) / j,
+    c <- c exp(i (rho / 2 - (n + 1/2) arg j)), and moves pi(x, omega) past
+    itself: (x, omega) <- A (x, omega) with c <- c exp(i pi (x omega - x' omega')).
+    At the end q = Re tau and a = (Im tau)^(-1/2).  Raises
+    :class:`UnboundedWindow` when that arithmetic over- or underflows.
+    Cached per window.
     """
-    if _canonical(w.chain) is not None:
-        return w
+    kinds = [type(op) for op in w.chain]
+    if kinds == [kind for kind in _CANONICAL if kind in kinds]:
+        return NormalForm(w.phase, **{f: v for op in w.chain for f, v in vars(op).items()})
     c, x, omega, tau = 1.0 + 0.0j, 0.0, 0.0, 1j
     try:
         for op in reversed(w.chain):
             if op.angle is None:
-                shift, extra = op.merge(TFShift(x, omega))
-                c, x, omega = c * extra, shift.x, shift.omega
+                c *= cmath.exp(-2j * math.pi * op.x * omega)
+                x, omega = op.x + x, op.omega + omega
                 continue
             (A, B), (C, D) = op.matrix().tolist()
             j = A + B * tau
@@ -114,12 +102,12 @@ def normal_form(w):
                                  + math.pi * (x * omega - x1 * omega1)))
             x, omega = x1, omega1
         a = tau.imag ** -0.5 if tau.imag > 0.0 else math.nan
-        tail = (TFShift(x, omega), Chirp(tau.real), Dilation(a))
     except (ArithmeticError, ValueError):
-        tail = None
-    if tail is None or not cmath.isfinite(c):
+        a = math.nan
+    if not (cmath.isfinite(c) and all(map(math.isfinite, (x, omega, tau.real)))
+            and 0.0 < a < math.inf):
         raise UnboundedWindow("the normal form of the window over- or underflows a float")
-    return window(w.n, tail, w.phase * c)
+    return NormalForm(w.phase * c, x, omega, tau.real, a)
 
 
 def _hermite(n, t):
@@ -145,8 +133,8 @@ def _values(n, x, omega, q, a, t):
 
 def evaluate(w, t):
     """Window values at the points t, in closed form from the :func:`normal_form`."""
-    w = normal_form(w)
-    return w.phase * _values(w.n, *_canonical(w.chain), np.asarray(t, dtype=float))
+    c, *params = normal_form(w)
+    return c * _values(w.n, *params, np.asarray(t, dtype=float))
 
 
 @lru_cache(maxsize=64)
@@ -214,7 +202,7 @@ def envelope(w):
     center x.  :class:`UnboundedWindow` is raised when the amplitude
     overflows.  Built once per distinct window and cached.
     """
-    x, _, _, a = _canonical(normal_form(w).chain)
+    _, x, _, _, a = normal_form(w)
     try:
         amp = hermite_envelope_constant(w.n) * (max(1.0, 1.0 / a) ** w.n / math.sqrt(a))
     except OverflowError:
@@ -227,28 +215,15 @@ def envelope(w):
 def parity(w):
     """+1 / -1 for even / odd windows, from x = omega = 0 in the
     :func:`normal_form`; None for the others."""
-    x, omega, _, _ = _canonical(normal_form(w).chain)
-    return None if x or omega else (-1) ** w.n
+    nf = normal_form(w)
+    return None if nf.x or nf.omega else (-1) ** w.n
 
 
 def is_real(w):
     """True when the window is real-valued on the real line: omega = q = 0
     and a real phase in the :func:`normal_form`."""
     nf = normal_form(w)
-    _, omega, q, _ = _canonical(nf.chain)
-    return not (omega or q) and nf.phase.imag == 0.0
-
-
-def on_torus(w):
-    """A window with the |Z| of w on all of R^2: its :func:`normal_form`
-    with x and omega reduced by fmod(., 1), which is exact; w itself when
-    |x| and |omega| are below 1 already."""
-    nf = normal_form(w)
-    x, omega, q, a = _canonical(nf.chain)
-    if abs(x) < 1.0 and abs(omega) < 1.0:
-        return w
-    return window(w.n, (TFShift(math.fmod(x, 1.0), math.fmod(omega, 1.0)),
-                        Chirp(q), Dilation(a)), nf.phase)
+    return not (nf.omega or nf.q) and nf.phase.imag == 0.0
 
 
 def shifted(w, x, omega):

@@ -3,7 +3,9 @@
 Z f(x, omega) = sum_k f(k - x) exp(2 pi i omega k), truncated with a
 certified Gaussian-envelope tail bound.  Every window is summed from its
 closed form (:func:`gaborkit.windows.evaluate`), so the bound is the
-envelope's tail alone.  Grids cover the half-open fundamental domain
+envelope's tail alone, and with the whole parts of its shift taken off
+(:func:`on_torus`), so the sum stays near k = 0 however far the window is
+shifted.  Grids cover the half-open fundamental domain
 [0, 1)^2 with nodes at i/N, so structural zeros at small-denominator
 rationals land exactly on nodes.
 """
@@ -17,9 +19,9 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import UnboundedWindow
-from .operators import Dilation, Fourier
-from .windows import (Window, descriptor, envelope, evaluate, is_real, parity,
-                      shifted, window)
+from .operators import Chirp, Dilation, Fourier, TFShift
+from .windows import (Window, descriptor, envelope, evaluate, is_real,
+                      normal_form, parity, shifted, window)
 
 _TRUNC_TOL = 1e-14
 TRUNC_MIN = 8
@@ -68,10 +70,34 @@ def _finite_values(w, t):
 
 
 def _indices(k_lo, k_hi):
-    # the sum's integers as floats; from 2**52 on, floats are at least 1 apart
+    # the sum's integers as floats; from 2**52 on, floats are at least 1 apart,
+    # which an evaluation point that far away reaches
     if max(-k_lo, k_hi) >= 2 ** 52:
         raise UnboundedWindow("the Zak sum reaches |k| >= 2**52, where floats skip k - x")
     return np.arange(k_lo, k_hi + 1, dtype=float)
+
+
+def _turns(t, k):
+    """t k mod 1 for each float of t and an integer k, exact until the last
+    rounding: t is the ratio p / q of integers."""
+    return np.array([p * k % q / q for p, q in map(
+        float.as_integer_ratio, np.ravel(t).tolist())]).reshape(np.shape(t))
+
+
+def on_torus(w):
+    """(w', m, l, s) with Z w (u, eta) = exp(2 pi i (s + eta m - u l)) Z w' (u, eta).
+
+    w' is the :func:`normal_form` of w with x and omega reduced by fmod(., 1),
+    which is exact, m and l are the integers taken off, and
+    s = m fmod(omega, 1) mod 1; (w, 0, 0, 0.0) when |x| and |omega| are below 1.
+    """
+    c, x, omega, q, a = normal_form(w)
+    if abs(x) < 1.0 and abs(omega) < 1.0:
+        return w, 0, 0, 0.0
+    x1, omega1 = math.fmod(x, 1.0), math.fmod(omega, 1.0)
+    m, l = int(x - x1), int(omega - omega1)
+    return (window(w.n, (TFShift(x1, omega1), Chirp(q), Dilation(a)), c),
+            m, l, float(_turns(omega1, m)))
 
 
 def _finite_arrays(func, **args):
@@ -89,21 +115,25 @@ def _finite_arrays(func, **args):
 def zak_point(w, x, omega, trunc=None):
     """Zak transform of a window at (x, omega); broadcasts over arrays.
 
-    The sum runs over 2*trunc + 1 integers centered where the window lives;
+    The sum runs over 2*trunc + 1 integers centered where the window lives
+    once the whole parts of its shift are taken off (:func:`on_torus`);
     trunc defaults to the envelope-certified choice of :func:`auto_truncation`;
     x and omega must be finite.  Raises :class:`UnboundedWindow` when a window
-    value in the sum is not finite or the sum reaches |k| >= 2**52.
+    value in the sum is not finite or |x| reaches 2**52.
     """
     x_arr, om_arr = _finite_arrays("zak_point", x=x, omega=omega)
     scalar = x_arr.ndim == 0 and om_arr.ndim == 0
     x_b, om_b = np.broadcast_arrays(np.atleast_1d(x_arr), np.atleast_1d(om_arr))
     K = _truncation(w, trunc)
+    w, m, l, s = on_torus(w)
     center = envelope(w).center
     ks = _indices(math.floor(float(x_b.min()) + center) - K,
                   math.ceil(float(x_b.max()) + center) + K)
     vals = _finite_values(w, ks[None, :] - x_b.ravel()[:, None])
     phases = np.exp(2j * np.pi * om_b.ravel()[:, None] * ks[None, :])
     out = np.sum(vals * phases, axis=1).reshape(x_b.shape)
+    if m or l:
+        out *= np.exp(2j * np.pi * (s + _turns(om_b, m) - _turns(x_b, l)))
     return complex(out[(0,) * out.ndim]) if scalar else out
 
 
@@ -132,14 +162,22 @@ def _surface_tiles(w, N, trunc, out=None):
     the rows of out when given.  The window is evaluated on about 2**11 points at once."""
     if N < 8:
         raise ValueError(f"surface resolution must be at least 8, got {N!r}")
-    K, center = _truncation(w, trunc), envelope(w).center
+    K = _truncation(w, trunc)
+    w, m, l, s = on_torus(w)
+    center = envelope(w).center
     ks = _indices(math.floor(center) - K, math.ceil(center) + 1 + K)
     xs = np.arange(N, dtype=float) / N
     phases = np.exp(2j * np.pi * np.outer(ks, np.arange(N) / N))  # nk x N
+    if m or l:
+        # the factor of on_torus: eta m by column, s - u l by row
+        phases *= np.exp(2j * np.pi * _turns(xs, m))
+        row_factors = np.exp(2j * np.pi * (s - _turns(xs, l)))[:, None]
     rows = _tile_rows(N)
     block = rows * max(1, 2 ** 11 // (rows * len(ks)))
     for b0 in range(0, N, block):
         vals = _finite_values(w, ks[None, :] - xs[b0:b0 + block, None])
+        if m or l:
+            vals *= row_factors[b0:b0 + block]
         for i0 in range(b0, b0 + len(vals), rows):
             tile_out = None if out is None else out[i0:i0 + rows]
             yield i0, np.matmul(vals[i0 - b0:i0 - b0 + rows], phases, out=tile_out)

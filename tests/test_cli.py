@@ -309,14 +309,12 @@ def test_unknown_chain_key_exit_code(tmp_path, capsys, command, chain, message):
 def test_non_finite_closed_form_values_exit_code(tmp_path, capsys, command):
     # the chirp after the dilation folds to Chirp(1 / a^2), which overflows;
     # a canonical window whose chirp phase pi q t^2 overflows reaches the Zak
-    # sum with non-finite values.  So does one whose modulation phase
-    # 2 pi omega t overflows, in zak-surface; the zero search of frame-bounds
-    # reduces omega to the torus (see test_window_shifted_far_is_not_a_frame)
+    # sum with non-finite values.  One whose modulation phase 2 pi omega t
+    # overflows is summed on the torus (see
+    # test_window_shifted_past_float_integers_exit_code)
     chains = [('[{"op": "dilation", "a": 4e-210}, {"op": "chirp", "q": 1.0}]',
                "normal form of the window over- or underflows"),
               ('[{"op": "chirp", "q": 1e308}]', "non-finite values")]
-    if command == "zak-surface":
-        chains.append(('[{"op": "tfshift", "x": 0.0, "omega": 1e308}]', "non-finite values"))
     for chain, message in chains:
         out = tmp_path / "x"
         # warning-free: numpy RuntimeWarnings fail the suite
@@ -437,20 +435,42 @@ def test_find_zeros_negative_tol_exit_code(tmp_path, capsys):
 @pytest.mark.parametrize("shift", ["1e17", "8e15"])
 @pytest.mark.parametrize("command", ["frame-bounds", "zak-surface"])
 def test_window_shifted_past_float_integers_exit_code(tmp_path, capsys, command, shift):
-    # h_0 over Z2 is no frame.  Past 2**52 floats skip k - x, so a Zak sum of
-    # the window as it is (zak-surface, with its phase) is refused; the zero
-    # search of frame-bounds reads |Z| alone, on the torus, and finds the zero
+    # h_0 over Z2 is no frame.  Past 2**52 floats skip k - x, so the Zak sums
+    # take the whole parts of the shift off (and carry their phase): the
+    # surface is |Z h_0| again, and the zero search finds the zero
     out = tmp_path / "x"
     code = run([command, "--hermite", "0", "--shift", f"{shift},0", "--n", "32",
                 "--out", str(out)])
     captured = capsys.readouterr()
+    assert code == 0
     if command == "zak-surface":
-        assert code == 3
-        assert "|k| >= 2**52" in captured.err
-        assert not out.exists()
+        assert run([command, "--hermite", "0", "--n", "32", "--out", str(tmp_path / "h0")]) == 0
+        far, h0 = read_rows(out), read_rows(tmp_path / "h0")
+        assert [(r["x"], r["omega"]) for r in far] == [(r["x"], r["omega"]) for r in h0]
+        assert max(abs(float(a["abs"]) - float(b["abs"])) for a, b in zip(far, h0)) <= 1e-15
     else:
-        assert code == 0
         assert captured.out.strip() == "NotFrame"
+
+
+@pytest.mark.parametrize("command", ["zak-surface", "frame-bounds"])
+def test_links_that_cancel_only_as_a_product_exit_code(tmp_path, capsys, command):
+    # the dilations are kept as given, and the fold of the pair overflows
+    chain = '[{"op": "dilation", "a": 1e200}, {"op": "dilation", "a": 1e-200}]'
+    out = tmp_path / "x"
+    assert run([command, "--n", "8", "--chain", chain, "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "normal form of the window over- or underflows" in err and "Warning" not in err
+    assert not out.exists()
+
+
+def test_point_set_shifts_that_are_not_pairs_exit_code(tmp_path, capsys):
+    out = tmp_path / "x.json"
+    assert run(["frame-bounds", "--generator", "1,0,0,1", "--shifts", ";",
+                "--n", "8", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "point set shifts must be one or more pairs (x, omega), got shape (0,)" in err
+    assert "Traceback" not in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("shift", ["1e7,0", "4e15,0", "1e17,0", "1e300,0", "0,1e308"])

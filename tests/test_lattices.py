@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -157,3 +158,15 @@ def test_json_round_trip():
 def test_point_set_rejects_non_finite_entries(generator, shifts, message):
     with pytest.raises(ValueError, match=message):
         point_set(generator, shifts)
+
+
+@pytest.mark.parametrize("shifts, shape", [
+    ([], "(0,)"), ([[0.0]], "(1, 1)"), (np.zeros((0, 2)), "(0, 2)"),
+    (np.zeros((1, 1, 2)), "(1, 1, 2)"),
+])
+def test_point_set_rejects_shifts_that_are_not_pairs(shifts, shape):
+    with pytest.raises(ValueError, match=r"point set shifts must be one or more "
+                       rf"pairs \(x, omega\), got shape {re.escape(shape)}"):
+        point_set(np.eye(2), shifts)
+    # one pair may come alone
+    assert point_set(np.eye(2), (0.5, 0.25)).shifts == ((0.5, 0.25),)

@@ -103,12 +103,55 @@ def _off_multiples_of_pi(r):
 @given(orders, oracle_chains)
 def test_normal_form_matches_quadrature_chain(n, chain):
     # the quadrature raises SingularAngle within 1e-3 of a multiple of pi and
-    # loses digits next to it; merged links count by their merged angle
+    # loses digits next to it; each FrFT link is applied at its own angle
     w = window(n, chain)
     assume(all(_off_multiples_of_pi(op.r) for op in w.chain if isinstance(op, FrFT)))
     f = realize(window(n))
     numeric = w.phase * apply_chain(w.chain, f).values
     assert np.max(np.abs(evaluate(w, f.points) - numeric)) <= 1e-10
+
+
+def merged(chain):
+    """The chain with adjacent links of one kind merged and identity links
+    dropped, and the phase that the shift merges carry:
+    D_a D_b = D_ab, C_p C_q = C_(p+q), F_r F_s = F_(r+s) and
+    pi(z1) pi(z2) = exp(-2 pi i x1 omega2) pi(z1 + z2)."""
+    ops, phase = [], 1.0 + 0.0j
+    for op in chain:
+        if op in (Dilation(1.0), Chirp(0.0), TFShift(0.0, 0.0), FrFT(0.0)):
+            continue
+        prev = ops[-1] if ops else None
+        if type(prev) is not type(op) or isinstance(op, Fourier):
+            ops.append(op)
+            continue
+        if isinstance(op, Dilation):
+            ops[-1] = Dilation(prev.a * op.a)
+        elif isinstance(op, Chirp):
+            ops[-1] = Chirp(prev.q + op.q)
+        elif isinstance(op, FrFT):
+            ops[-1] = FrFT(prev.r + op.r)
+        else:
+            phase *= cmath.exp(-2j * math.pi * prev.x * op.omega)
+            ops[-1] = TFShift(prev.x + op.x, prev.omega + op.omega)
+    return tuple(ops), phase
+
+
+# runs of links of one kind, with identity links between them
+identity_links = st.sampled_from([Dilation(1.0), Chirp(0.0), TFShift(0.0, 0.0), FrFT(0.0)])
+runs = st.one_of(identity_links.map(lambda op: [op]), *(
+    st.lists(kind, min_size=1, max_size=3)
+    for kind in (dilations, chirps, shifts, st.floats(-4.0, 4.0).map(FrFT))))
+run_chains = st.lists(runs, max_size=4).map(lambda rs: tuple(op for r in rs for op in r))
+
+
+@SETTINGS
+@given(orders, run_chains)
+def test_chain_evaluates_like_its_merged_form(n, chain):
+    # the rules that composed links one kind at a time hold through the fold
+    ops, phase = merged(chain)
+    t = np.linspace(-6.0, 6.0, 97)
+    assert np.max(np.abs(evaluate(window(n, chain), t)
+                         - evaluate(window(n, ops, phase), t))) <= 1e-12
 
 
 _FIELDS = {"dilation": ("a",), "chirp": ("q",), "frft": ("r",),

@@ -9,9 +9,9 @@ from gaborkit.errors import UnboundedWindow
 from gaborkit.operators import (Chirp, Dilation, Fourier, FrFT, TFShift,
                                 apply_chain, apply_fourier)
 from gaborkit.special import hermite
-from gaborkit.windows import (descriptor, envelope, evaluate, is_real,
-                              normal_form, parity, parse_descriptor, realize,
-                              shifted, window)
+from gaborkit.windows import (NormalForm, descriptor, envelope, evaluate,
+                              is_real, normal_form, parity, parse_descriptor,
+                              realize, shifted, window)
 from gaborkit.zak import verify_identities
 
 
@@ -31,52 +31,60 @@ def test_trailing_fourier_becomes_power_of_minus_i():
 
 
 def test_identity_operators_dropped():
-    w = window(1, (Dilation(1.0), Chirp(0.0), TFShift(0.0, 0.0), FrFT(0.0)))
-    assert w.chain == ()
-    assert w.phase == 1.0 + 0.0j
+    # the window keeps its identity links; its normal form is h_1 itself
+    chain = (Dilation(1.0), Chirp(0.0), TFShift(0.0, 0.0), FrFT(0.0))
+    w = window(1, chain)
+    assert w.chain == chain[:3]
+    assert normal_form(w) == NormalForm(1.0 + 0.0j, 0.0, 0.0, 0.0, 1.0)
+    t = np.linspace(-4.0, 4.0, 33)
+    assert np.array_equal(evaluate(w, t), evaluate(window(1), t))
 
 
 def test_adjacent_merges():
-    assert window(0, (Dilation(2.0), Dilation(3.0))).chain == (Dilation(6.0),)
-    assert window(0, (Chirp(1.0), Chirp(-0.25))).chain == (Chirp(0.75),)
-    assert window(0, (FrFT(0.3), Chirp(0.1), FrFT(0.5))).chain[0] == FrFT(0.3)
-    merged = window(0, (FrFT(0.3), FrFT(0.5), Chirp(0.1)))
-    assert merged.chain == (FrFT(0.8), Chirp(0.1))
+    # adjacent links of one kind are kept, and fold as their product
+    assert window(0, (Dilation(2.0), Dilation(3.0))).chain == (Dilation(2.0), Dilation(3.0))
+    assert normal_form(window(0, (Dilation(2.0), Dilation(3.0)))).a == pytest.approx(6.0, rel=1e-15)
+    assert normal_form(window(0, (Chirp(1.0), Chirp(-0.25)))) \
+        == NormalForm(1.0 + 0.0j, 0.0, 0.0, 0.75, 1.0)
+    t = np.linspace(-5.0, 5.0, 41)
+    for chain, merged in (((FrFT(0.3), FrFT(0.5), Chirp(0.1)), (FrFT(0.8), Chirp(0.1))),
+                          ((Dilation(2.0), Dilation(3.0)), (Dilation(6.0),))):
+        assert np.max(np.abs(evaluate(window(3, chain), t)
+                             - evaluate(window(3, merged), t))) <= 1e-14
 
 
 def test_shift_merge_carries_commutation_phase():
     # T_{1/2} applied after M_{1/2} merges with the commutation phase
     w = window(0, (TFShift(0.5, 0.0), TFShift(0.0, 0.5)))
-    assert w.chain == (TFShift(0.5, 0.5),)
-    assert w.phase == pytest.approx(cmath.exp(-2j * math.pi * 0.25))
+    phase, *params = normal_form(w)
+    assert params == [0.5, 0.5, 0.0, 1.0]
+    assert phase == pytest.approx(cmath.exp(-2j * math.pi * 0.25), abs=1e-16)
     t = np.linspace(-3.0, 3.0, 20)
     manual = np.exp(1j * np.pi * (t - 0.5)) * evaluate(window(0), t - 0.5)
     assert np.max(np.abs(evaluate(w, t) - manual)) < 1e-14
 
 
-def kinds(w):
-    return [type(op) for op in w.chain]
-
-
 def test_closed_form_detection():
-    # a chain in the order (TFShift, Chirp, Dilation) is its own normal form,
-    # the same object; every other chain is folded whole into that order
-    for w in (window(2, (TFShift(1.0, 2.0), Chirp(0.3), Dilation(2.0))),
-              window(1, (TFShift(0.5, 0.0), Dilation(0.7))), window(3)):
-        assert normal_form(w) is w
-    # FrFT on the bare base simplifies away, so this is canonical
+    # a chain in the order (TFShift, Chirp, Dilation) is read as it is, with
+    # the identity's numbers for the kinds it lacks; every other chain is
+    # folded whole into that order
+    assert normal_form(window(2, (TFShift(1.0, 2.0), Chirp(0.3), Dilation(2.0)), 1j)) \
+        == NormalForm(1j, 1.0, 2.0, 0.3, 2.0)
+    assert normal_form(window(1, (TFShift(0.5, 0.0), Dilation(0.7)))) \
+        == NormalForm(1.0 + 0.0j, 0.5, 0.0, 0.0, 0.7)
+    assert normal_form(window(3)) == NormalForm(1.0 + 0.0j, 0.0, 0.0, 0.0, 1.0)
+    # FrFT on the bare base becomes the eigenvalue phase, so this is read as it is
     bare = window(2, (Chirp(0.3), FrFT(0.5)))
-    assert normal_form(bare) is bare
-    folded = normal_form(window(2, (Dilation(0.5), FrFT(0.5), Chirp(0.3))))
-    assert kinds(folded) == [Chirp, Dilation]
-    shifted_fold = normal_form(window(1, (Fourier(), TFShift(0.5, 0.25))))
-    assert shifted_fold.chain[0] == TFShift(0.25, -0.5)
-    assert kinds(shifted_fold) == [TFShift]
+    assert normal_form(bare) == NormalForm(bare.phase, 0.0, 0.0, 0.3, 1.0)
+    _, x, omega, q, a = normal_form(window(2, (Dilation(0.5), FrFT(0.5), Chirp(0.3))))
+    assert (x, omega) == (0.0, 0.0) and q != 0.0 and a != 1.0
+    assert normal_form(window(1, (Fourier(), TFShift(0.5, 0.25))))[1:] \
+        == (0.25, -0.5, 0.0, 1.0)
     # a pointwise chain out of that order is folded too:
     # D_2 C_0.3 pi(1, 2) h_2 (t) = 2^(-1/2) exp(i pi 0.3 u^2)
     # exp(2 pi i 2 u) h_2(u - 1), u = t / 2
     w = window(2, (Dilation(2.0), Chirp(0.3), TFShift(1.0, 2.0)))
-    assert kinds(normal_form(w)) == [TFShift, Chirp, Dilation]
+    assert normal_form(w)[1:] == pytest.approx((2.0, 1.15, 0.075, 2.0), rel=1e-15)
     t = np.linspace(-6.0, 10.0, 801)
     u = t / 2.0
     composed = np.exp(1j * math.pi * 0.3 * u * u) * np.exp(4j * math.pi * u) \
@@ -164,7 +172,7 @@ def test_parity_and_reality():
 def test_parity_and_reality_read_the_normal_form():
     # the two shifts cancel through the dilation: the chain folds to x = 0
     chain = (TFShift(0.6, 0.0), Dilation(2.0), TFShift(-0.3, 0.0))
-    assert normal_form(window(3, chain)).chain == (Dilation(2.0),)
+    assert normal_form(window(3, chain)) == NormalForm(1.0 + 0.0j, 0.0, 0.0, 0.0, 2.0)
     assert parity(window(3, chain)) == -1 and parity(window(2, chain)) == 1
     assert is_real(window(3, chain))
     # a time shift keeps a window real but not even; a modulation, a chirp

@@ -1,5 +1,6 @@
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -293,10 +294,10 @@ def test_zak_point_rejects_non_finite_arguments(x, omega, name):
 
 def test_non_finite_window_values_raise_unbounded_window():
     # the chirp after the dilation folds to Chirp(1 / a^2), which overflows;
-    # the canonical shift's modulation phase 2 pi omega overflows in the sum
+    # the canonical chirp's phase pi q t^2 overflows in the sum
     # (warning-free: numpy RuntimeWarnings fail the suite)
     for w, message in ((window(0, (Dilation(4e-210), Chirp(1.0))), "normal form"),
-                       (window(0, (TFShift(0.0, 1e308),)), "non-finite values")):
+                       (window(0, (Chirp(1e308),)), "non-finite values")):
         with pytest.raises(UnboundedWindow, match=message):
             zak_surface(w, 8)
         with pytest.raises(UnboundedWindow, match=message):
@@ -354,15 +355,37 @@ def test_every_zak_evaluation_rejects_truncation_below_one(trunc):
 
 @pytest.mark.parametrize("shift", [1e17, 8e15])
 def test_sums_past_float_integers_raise_unbounded_window(shift):
-    # from 2**52 on floats are at least 1 apart, so k - x misses the sum's
-    # points; at 1e17 the sums read h_0 at the wrong points entirely
-    w = window(0, (TFShift(shift, 0.0),))
-    for evaluate_zak in (lambda: zak_point(w, 0.25, 0.5),
-                         lambda: zak_point(w, np.array([0.0, 0.5]), 0.5),
-                         lambda: zak_surface(w, 8),
-                         lambda: zak_scaled(SQRT2, w, 0.25, 0.5)):
-        with pytest.raises(UnboundedWindow, match=r"\|k\| >= 2\*\*52"):
-            evaluate_zak()
+    # from 2**52 on floats are at least 1 apart, so a sum of pi(m, 0) h_0 as
+    # it is would miss its points; summed on the torus it is
+    # exp(2 pi i omega m) Z h_0, and m is even here
+    w, h0 = window(0, (TFShift(shift, 0.0),)), window(0)
+    assert zak_point(w, 0.25, 0.5) == zak_point(h0, 0.25, 0.5)
+    xs = np.array([0.0, 0.5])
+    assert np.array_equal(zak_point(w, xs, 0.5), zak_point(h0, xs, 0.5))
+    assert np.array_equal(zak_surface(w, 8).values, zak_surface(h0, 8).values)
+    # so are the windows whose modulation phase 2 pi omega t overflows
+    w = window(0, (TFShift(0.0, 1e308),))
+    assert zak_point(w, 0.25, 0.5) == zak_point(h0, 0.25, 0.5)
+    assert zak_scaled(1.0, w, 0.1, 0.2) == zak_point(h0, 0.1, 0.2)
+    assert np.array_equal(zak_surface(w, 8).values, zak_surface(h0, 8).values)
+    # an evaluation point that far away still reaches the float gaps
+    with pytest.raises(UnboundedWindow, match=r"\|k\| >= 2\*\*52"):
+        zak_point(h0, shift, 0.5)
+
+
+@pytest.mark.parametrize("m", [1e3, 1e9, 1e15, 1e17, 1e300])
+def test_far_shifted_surface_is_the_shift_phase_times_the_surface(m):
+    # Z pi(m, 0) g (u, j / N) = exp(2 pi i (j m mod N) / N) Z g (u, j / N)
+    N = 64
+    g = window(2, (Chirp(0.3), Dilation(1.2)))
+    far = window(2, (TFShift(m, 0.0), Chirp(0.3), Dilation(1.2)))
+    j = np.arange(N)
+    expected = zak_surface(g, N).values * np.exp(2j * np.pi * (j * (int(m) % N) % N) / N)
+    assert np.max(np.abs(zak_surface(far, N).values - expected)) <= 1e-14
+    pts = np.array([[0.3, 0.7], [0.55, 0.125]])
+    expected = zak_point(g, pts[:, 0], pts[:, 1]) \
+        * np.exp(2j * np.pi * np.array([float(Fraction(v) * int(m) % 1) for v in pts[:, 1]]))
+    assert np.max(np.abs(zak_point(far, pts[:, 0], pts[:, 1]) - expected)) <= 1e-14
 
 
 @pytest.mark.parametrize("N, heights", [

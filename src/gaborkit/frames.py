@@ -27,7 +27,7 @@ from .lattices import (coset_split, enumerate_points, iwasawa_factor,
 from .operators import Chirp, Dilation, FrFT, TFShift, project_isomorphism
 from .special import theta3
 from .windows import window
-from .zak import _finite_values, _surface_tiles, _tile_rows, zak_point
+from .zak import _finite_values, _surface_tiles, _tile_rows, on_torus, zak_point
 
 NOT_FRAME = "NotFrame"
 LIKELY_FRAME = "LikelyFrame"
@@ -296,21 +296,21 @@ def _grid_candidates(windows, N, trunc):
 
 
 def _search_zeros(windows, resolution, trunc, tol):
+    # |Z| alone is read: on the torus, the local model sees no shift phase
+    windows = [on_torus(g)[0] for g in windows]
     N = int(resolution)
     A_grid, B_grid, slack, amp_slack, cand = _grid_candidates(windows, N, trunc)
     polished = sorted(_snap(windows, _polish(windows, cand / N, 1.2 / N, trunc), trunc),
                       key=lambda z: z.residual)
     A_refined = min([A_grid] + [z.residual ** 2 for z in polished])
-    # a polished candidate counts as a zero only if its residual is far
-    # below the surface variation scale (shallow local minima are not zeros)
+    # a polished candidate is a zero if its residual is far below the surface
+    # variation scale (shallow minima are not) and none lies within half a cell
     zero_cut = max(tol, 1e-3 * amp_slack)
     zeros = []
     for z in polished:
-        if z.residual > zero_cut:
-            continue
-        dup = any(max(_torus_dist(z.x, u.x), _torus_dist(z.omega, u.omega))
-                  < 0.5 / N for u in zeros)
-        if not dup:
+        if not (z.residual > zero_cut or any(
+                max(_torus_dist(z.x, u.x), _torus_dist(z.omega, u.omega)) < 0.5 / N
+                for u in zeros)):
             zeros.append(z)
     return A_refined, B_grid, slack, zeros
 

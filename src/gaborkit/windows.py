@@ -81,7 +81,9 @@ def normal_form(w):
     c <- c exp(i (rho / 2 - (n + 1/2) arg j)), and moves pi(x, omega) past
     itself: (x, omega) <- A (x, omega) with c <- c exp(i pi (x omega - x' omega')).
     At the end q = Re tau and a = (Im tau)^(-1/2).  Raises
-    :class:`UnboundedWindow` when that arithmetic over- or underflows.
+    :class:`UnboundedWindow` when that arithmetic over- or underflows, or
+    when a link changes a shift of 2**52 or more, where floats hold no
+    fraction (a shift merged into none, or left as it is, is kept exactly).
     Cached per window.
     """
     kinds = [type(op) for op in w.chain]
@@ -90,17 +92,23 @@ def normal_form(w):
     c, x, omega, tau = 1.0 + 0.0j, 0.0, 0.0, 1j
     try:
         for op in reversed(w.chain):
+            old = (x, omega)
             if op.angle is None:
                 c *= cmath.exp(-2j * math.pi * op.x * omega)
                 x, omega = op.x + x, op.omega + omega
-                continue
-            (A, B), (C, D) = op.matrix().tolist()
-            j = A + B * tau
-            tau = (C + D * tau) / j
-            x1, omega1 = A * x + B * omega, C * x + D * omega
-            c *= cmath.exp(1j * (0.5 * op.angle - (w.n + 0.5) * cmath.phase(j)
-                                 + math.pi * (x * omega - x1 * omega1)))
-            x, omega = x1, omega1
+                moved = (op.x or op.omega) and old != (0.0, 0.0)
+            else:
+                (A, B), (C, D) = op.matrix().tolist()
+                j = A + B * tau
+                tau = (C + D * tau) / j
+                x1, omega1 = A * x + B * omega, C * x + D * omega
+                c *= cmath.exp(1j * (0.5 * op.angle - (w.n + 0.5) * cmath.phase(j)
+                                     + math.pi * (x * omega - x1 * omega1)))
+                x, omega = x1, omega1
+                moved = (x, omega) != old
+            if moved and max(map(abs, old + (x, omega))) >= 2 ** 52:
+                raise UnboundedWindow("a link changes a shift of 2**52 or more: "
+                                      "its fraction is lost")
         a = tau.imag ** -0.5 if tau.imag > 0.0 else math.nan
     except (ArithmeticError, ValueError):
         a = math.nan

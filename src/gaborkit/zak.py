@@ -169,9 +169,9 @@ def _surface_tiles(w, N, trunc, out=None):
     xs = np.arange(N, dtype=float) / N
     phases = np.exp(2j * np.pi * np.outer(ks, np.arange(N) / N))  # nk x N
     if m or l:
-        # the factor of on_torus: eta m by column, s - u l by row
-        phases *= np.exp(2j * np.pi * _turns(xs, m))
-        row_factors = np.exp(2j * np.pi * (s - _turns(xs, l)))[:, None]
+        # the factor of on_torus, in whole N-ths: eta m by column, s - u l by row
+        phases *= np.exp(2j * np.pi * (np.arange(N) * (m % N) % N / N))
+        row_factors = np.exp(2j * np.pi * (s - np.arange(N) * (l % N) % N / N))[:, None]
     rows = _tile_rows(N)
     block = rows * max(1, 2 ** 11 // (rows * len(ks)))
     for b0 in range(0, N, block):

@@ -463,6 +463,21 @@ def test_links_that_cancel_only_as_a_product_exit_code(tmp_path, capsys, command
     assert not out.exists()
 
 
+@pytest.mark.parametrize("chain", [
+    '[{"op": "dilation", "a": 1.4142135623730951}, {"op": "tfshift", "x": 1e17, "omega": 0}]',
+    '[{"op": "tfshift", "x": 0.3, "omega": 0}, {"op": "tfshift", "x": 1e17, "omega": 0}]',
+])
+def test_fold_that_moves_a_shift_past_float_integers_exit_code(tmp_path, capsys, chain):
+    # a link that changes a shift of 2**52 or more drops its fraction, which
+    # would translate the surface by the wrong amount
+    out = tmp_path / "x"
+    assert run(["zak-surface", "--n", "8", "--chain", chain, "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "a link changes a shift of 2**52 or more: its fraction is lost" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_point_set_shifts_that_are_not_pairs_exit_code(tmp_path, capsys):
     out = tmp_path / "x.json"
     assert run(["frame-bounds", "--generator", "1,0,0,1", "--shifts", ";",
@@ -484,6 +499,23 @@ def test_window_shifted_far_is_not_a_frame(tmp_path, capsys, shift):
     report = json.loads(out.read_text())
     assert [(z["x"], z["omega"]) for z in report["zeros"]] == [(0.5, 0.5)]
     assert report["zeros"][0]["residual"] <= 1e-10
+
+
+@pytest.mark.parametrize("shift", ["5e6,0.3", "1e17,0.3"])
+@pytest.mark.parametrize("command", ["frame-bounds", "find-zeros"])
+def test_far_shifted_zero_off_the_grid_is_polished(tmp_path, capsys, command, shift):
+    # the zero of pi(x, 0.3) h_0 sits at (1/2, 1/5), between the nodes of
+    # N = 32, so the local model's finite differences place it; on the torus
+    # they carry no shift phase exp(2 pi i eta m), which at m = 5e6 turns by
+    # half a turn across the model's first difference
+    out = tmp_path / "report.json"
+    assert run([command, "--hermite", "0", "--shift", shift, "--n", "32",
+                "--out", str(out)]) == 0
+    if command == "frame-bounds":
+        assert capsys.readouterr().out.strip() == "NotFrame"
+    zeros = json.loads(out.read_text())["zeros"]
+    assert [(z["x"], round(z["omega"], 12)) for z in zeros] == [(0.5, 0.2)]
+    assert zeros[0]["residual"] <= 1e-10
 
 
 @pytest.mark.parametrize("omega", [0.5, 0.25])

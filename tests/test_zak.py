@@ -371,12 +371,17 @@ def test_sums_past_float_integers_raise_unbounded_window(shift):
     # an evaluation point that far away still reaches the float gaps
     with pytest.raises(UnboundedWindow, match=r"\|k\| >= 2\*\*52"):
         zak_point(h0, shift, 0.5)
+    # the scaled transform dilates the far window, and D_{1/sqrt 2} would move
+    # its shift to a float that has no fraction left
+    with pytest.raises(UnboundedWindow, match=r"changes a shift of 2\*\*52 or more"):
+        zak_scaled(SQRT2, window(0, (TFShift(shift, 0.0),)), 0.25, 0.5)
 
 
+@pytest.mark.parametrize("N", [64, 48])
 @pytest.mark.parametrize("m", [1e3, 1e9, 1e15, 1e17, 1e300])
-def test_far_shifted_surface_is_the_shift_phase_times_the_surface(m):
-    # Z pi(m, 0) g (u, j / N) = exp(2 pi i (j m mod N) / N) Z g (u, j / N)
-    N = 64
+def test_far_shifted_surface_is_the_shift_phase_times_the_surface(m, N):
+    # Z pi(m, 0) g (u, j / N) = exp(2 pi i (j m mod N) / N) Z g (u, j / N);
+    # the nodes j / 48 are not exact floats
     g = window(2, (Chirp(0.3), Dilation(1.2)))
     far = window(2, (TFShift(m, 0.0), Chirp(0.3), Dilation(1.2)))
     j = np.arange(N)
@@ -386,6 +391,17 @@ def test_far_shifted_surface_is_the_shift_phase_times_the_surface(m):
     expected = zak_point(g, pts[:, 0], pts[:, 1]) \
         * np.exp(2j * np.pi * np.array([float(Fraction(v) * int(m) % 1) for v in pts[:, 1]]))
     assert np.max(np.abs(zak_point(far, pts[:, 0], pts[:, 1]) - expected)) <= 1e-14
+
+
+@pytest.mark.parametrize("N", [64, 48])
+@pytest.mark.parametrize("l", [1e9, -3e12])
+def test_far_modulated_surface_is_the_row_phase_times_the_surface(l, N):
+    # Z pi(x, l + w) g (i / N, eta) = exp(-2 pi i (i l mod N) / N) Z pi(x, w) g (i / N, eta)
+    g = window(2, (TFShift(0.4, 0.25), Chirp(0.3), Dilation(1.2)))
+    far = window(2, (TFShift(0.4, l + 0.25), Chirp(0.3), Dilation(1.2)))
+    rows = np.exp(-2j * np.pi * (np.arange(N) * (int(l) % N) % N) / N)
+    expected = zak_surface(g, N).values * rows[:, None]
+    assert np.max(np.abs(zak_surface(far, N).values - expected)) <= 1e-14
 
 
 @pytest.mark.parametrize("N, heights", [

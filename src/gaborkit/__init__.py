@@ -18,9 +18,9 @@ from .lattices import (PRESETS, PointSet, coset_split, dilation_matrix,
                        rotation, sets_equal, shear, transform, translate)
 from .operators import (Chirp, Dilation, Fourier, FrFT, SampledFunction,
                         TFShift, apply_chain, apply_chirp, apply_dilation,
-                        apply_fourier, apply_frft, apply_tf_shift,
-                        grid_points, matched_phase_residual,
-                        project_isomorphism, sample, support_radius)
+                        apply_frft, apply_tf_shift, grid_points,
+                        matched_phase_residual, project_isomorphism, sample,
+                        support_radius)
 from .special import ThetaValue, hermite, hermite_stack, theta3
 from .windows import (NormalForm, Window, descriptor, envelope, evaluate,
                       normal_form, parse_descriptor, parity, realize, shifted,

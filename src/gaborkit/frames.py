@@ -27,7 +27,8 @@ from .lattices import (coset_split, enumerate_points, iwasawa_factor,
 from .operators import Chirp, Dilation, FrFT, TFShift, project_isomorphism
 from .special import theta3
 from .windows import window
-from .zak import _finite_values, _surface_tiles, _tile_rows, on_torus, zak_point
+from .zak import (_finite_values, _grid_resolution, _surface_tiles, _tile_rows,
+                  on_torus, zak_point)
 
 NOT_FRAME = "NotFrame"
 LIKELY_FRAME = "LikelyFrame"
@@ -296,9 +297,9 @@ def _grid_candidates(windows, N, trunc):
 
 
 def _search_zeros(windows, resolution, trunc, tol):
+    N = _grid_resolution(resolution)
     # |Z| alone is read: on the torus, the local model sees no shift phase
     windows = [on_torus(g)[0] for g in windows]
-    N = int(resolution)
     A_grid, B_grid, slack, amp_slack, cand = _grid_candidates(windows, N, trunc)
     polished = sorted(_snap(windows, _polish(windows, cand / N, 1.2 / N, trunc), trunc),
                       key=lambda z: z.residual)

@@ -99,45 +99,29 @@ def upsample(values, factor):
 _SHIFT_LEAK_REL = 1e-9
 
 
-def apply_tf_shifts(zs, f):
-    """Apply each time-frequency shift z = (x, omega) of zs to one sampled function.
-
-    Yields one sampled function per shift, so that only one is held at a
-    time.  The translation part is performed in the Fourier domain
-    (band-limited interpolation), from one spectrum of f shared by all
-    shifts; the modulation is exact pointwise.  Raises
-    :class:`ShiftExceedsGrid`, when its shift is reached, if the samples that
-    a translation would push (circularly) past the grid edge carry
-    non-negligible mass.
-    """
-    vals = f.values
-    spectrum = None
-    for z in zs:
-        x, omega = float(z[0]), float(z[1])
-        g = vals
-        if x != 0.0:
-            if spectrum is None:
-                peak = np.abs(vals).max()
-                spectrum = np.fft.fft(vals)
-                freqs = np.fft.fftfreq(vals.size, d=f.step)
-            n_exit = min(int(math.ceil(abs(x) / f.step)), vals.size)
-            strip = vals[-n_exit:] if x > 0 else vals[:n_exit]
-            if peak > 0.0 and np.abs(strip).max() > _SHIFT_LEAK_REL * peak:
-                raise ShiftExceedsGrid(
-                    f"time shift {x} pushes effective support outside "
-                    f"extent {f.extent}")
-            g = np.fft.ifft(spectrum * np.exp(-2j * np.pi * x * freqs))
-        if omega != 0.0:
-            g = np.exp(2j * np.pi * omega * f.points) * g
-        yield SampledFunction(g, f.step, f.extent)
-
-
 def apply_tf_shift(z, f):
     """Apply the time-frequency shift by z = (x, omega) to a sampled function.
 
-    The one-shift case of :func:`apply_tf_shifts`.
+    The translation part is performed in the Fourier domain (band-limited
+    interpolation); the modulation is exact pointwise.  Raises
+    :class:`ShiftExceedsGrid` if the samples that the translation would push
+    (circularly) past the grid edge carry non-negligible mass.
     """
-    return next(apply_tf_shifts((z,), f))
+    x, omega = float(z[0]), float(z[1])
+    g = f.values
+    if x != 0.0:
+        n_exit = min(int(math.ceil(abs(x) / f.step)), g.size)
+        strip = g[-n_exit:] if x > 0 else g[:n_exit]
+        peak = np.abs(g).max()
+        if peak > 0.0 and np.abs(strip).max() > _SHIFT_LEAK_REL * peak:
+            raise ShiftExceedsGrid(
+                f"time shift {x} pushes effective support outside "
+                f"extent {f.extent}")
+        freqs = np.fft.fftfreq(g.size, d=f.step)
+        g = np.fft.ifft(np.fft.fft(g) * np.exp(-2j * np.pi * x * freqs))
+    if omega != 0.0:
+        g = np.exp(2j * np.pi * omega * f.points) * g
+    return SampledFunction(g, f.step, f.extent)
 
 
 def _read_only(arrays):
@@ -327,11 +311,6 @@ def apply_frft(r, f, method="quadrature", n_coeffs=64):
     return _frft_quadrature(r, f)
 
 
-def apply_fourier(f):
-    """The ordinary Fourier transform of a sampled function."""
-    return _frft_quadrature(0.5 * math.pi, f)
-
-
 @dataclass(frozen=True)
 class Op:
     """An operator-isomorphism pair: a unitary U and its matrix A, U pi(z) = c pi(Az) U.
@@ -437,7 +416,7 @@ class Fourier(Op):
         return np.array([[0.0, 1.0], [-1.0, 0.0]])
 
     def apply(self, f):
-        return apply_fourier(f)
+        return apply_frft(self.angle, f)
 
     def hermite_eigenvalue(self, n):
         return (-1j) ** n

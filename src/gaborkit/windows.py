@@ -12,6 +12,7 @@ collapses to the eigenvalue phase exp(-i n r) when the window is built.
 import cmath
 import dataclasses
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
@@ -251,8 +252,9 @@ def parse_descriptor(d):
     """Inverse of :func:`descriptor`.
 
     Raises :class:`ValueError` when the chain is not a list of operator
-    objects, names an unknown operator, lacks a numeric operator field, or
-    holds a key that the operator does not have.
+    objects, names an unknown operator, lacks a numeric operator field (a
+    bool or a string is not one), or holds a key that the operator does not
+    have, and when the Hermite order is not a nonnegative integer.
     """
     entries = d.get("chain", ())
     if not isinstance(entries, (list, tuple)):
@@ -269,10 +271,12 @@ def parse_descriptor(d):
         if unknown:
             raise ValueError(f"operator {tag!r} has no field "
                              f"{', '.join(map(repr, unknown))}, got {entry!r}")
-        try:
-            chain.append(kinds[tag](*(float(entry[f]) for f in fields)))
-        except (KeyError, TypeError) as exc:
+        values = [entry.get(f) for f in fields]
+        # JSON numbers only (a bool is an int), and ints only in the float range
+        if not all(isinstance(v, float) or (type(v) is int and abs(v) <= sys.float_info.max)
+                   for v in values):
             raise ValueError(f"operator {tag!r} needs the numeric fields "
-                             f"{', '.join(fields)}, got {entry!r}") from exc
+                             f"{', '.join(fields)}, got {entry!r}")
+        chain.append(kinds[tag](*map(float, values)))
     phase = d.get("phase", [1.0, 0.0])
-    return window(int(d["hermite"]), tuple(chain), complex(phase[0], phase[1]))
+    return window(d["hermite"], tuple(chain), complex(phase[0], phase[1]))

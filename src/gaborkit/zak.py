@@ -156,12 +156,19 @@ def _tile_rows(N):
     return max(1, 2 ** 14 // N)
 
 
+def _grid_resolution(resolution):
+    """The resolution N of an N x N grid, checked before anything of size N
+    is allocated."""
+    N = int(resolution)
+    if N < 8:
+        raise ValueError(f"surface resolution must be at least 8, got {N!r}")
+    return N
+
+
 def _surface_tiles(w, N, trunc, out=None):
     """Z w on the N x N grid in tiles of whole rows, made a tile per step:
     yields (i0, tile) with tile[r, j] = Z w ((i0 + r) / N, j / N), written into
     the rows of out when given.  The window is evaluated on about 2**11 points at once."""
-    if N < 8:
-        raise ValueError(f"surface resolution must be at least 8, got {N!r}")
     K = _truncation(w, trunc)
     w, m, l, s = on_torus(w)
     center = envelope(w).center
@@ -186,11 +193,11 @@ def _surface_tiles(w, N, trunc, out=None):
 def zak_surface(w, resolution, trunc=None):
     """Zak transform of a window on the fundamental-domain grid; raises
     :class:`UnboundedWindow` where :func:`zak_point` does or its tail bound is infinite."""
-    N, K = int(resolution), _truncation(w, trunc)
+    N, K = _grid_resolution(resolution), _truncation(w, trunc)
     tail = zak_tail_bound(w, K)
     if not math.isfinite(tail):
         raise UnboundedWindow(f"the envelope tail of truncation {K} is not finite")
-    values = np.empty((N, N) if N >= 8 else (0, 0), complex)  # a grid too large fails here
+    values = np.empty((N, N), complex)  # a grid too large fails here
     for _ in _surface_tiles(w, N, K, values):
         pass
     return ZakSurface(values=values, window_desc=w, resolution=N,

@@ -1,13 +1,14 @@
 import csv
 import json
+import math
 import sys
 
 import numpy as np
 import pytest
 
-from gaborkit import zak
+from gaborkit import operators, zak
 from gaborkit.cli import main
-from gaborkit.operators import Chirp, Dilation, apply_frft
+from gaborkit.operators import Chirp, Dilation, SampledFunction, apply_frft
 from gaborkit.windows import realize, window
 
 
@@ -241,7 +242,13 @@ def test_unknown_preset_exit_code():
     (["--chain", '[{"op":"dilation"}]'], "'dilation' needs the numeric fields a"),
     (["--chain", '{"op":"chirp","q":1}'], "operator chain must be a list"),
     (["--hermite", "200"], "the largest supported order is 150"),
-], ids=["unknown-op", "missing-field", "chain-not-a-list", "hermite-order"])
+    (["--chain", '[{"op":"chirp","q":"1.5"}]'], "'chirp' needs the numeric fields q"),
+    (["--chain", '[{"op":"chirp","q":"x"}]'], "'chirp' needs the numeric fields q"),
+    (["--chain", '[{"op":"chirp","q":true}]'], "'chirp' needs the numeric fields q"),
+    (["--chain", '[{"op":"chirp","q":1' + "0" * 400 + '}]'],
+     "'chirp' needs the numeric fields q"),
+], ids=["unknown-op", "missing-field", "chain-not-a-list", "hermite-order",
+        "numeric-string-field", "string-field", "bool-field", "int-beyond-floats"])
 def test_malformed_window_exit_code(tmp_path, capsys, flags, message):
     argv = ["zak-surface", "--n", "8", *flags, "--out", str(tmp_path / "x.csv")]
     assert run(argv) == 2
@@ -425,6 +432,31 @@ def test_verify_samples_below_one_exit_code(tmp_path, capsys, flags, conf):
     assert not out.exists()
 
 
+def test_intertwine_suite_sees_a_constant_phase(tmp_path, capsys, monkeypatch):
+    # a sampled chirp off by the phase exp(0.1i) is off the closed form by
+    # |exp(0.1i) - 1| = 2 sin(0.05) at every shift, however well a fitted
+    # phase would match it
+    chirp = operators.apply_chirp
+    monkeypatch.setattr(operators, "apply_chirp",
+                        lambda q, f: chirp(q, SampledFunction(
+                            np.exp(0.1j) * f.values, f.step, f.extent)))
+    out = tmp_path / "x.json"
+    assert run(["verify", "--suite", "intertwine", "--out", str(out)]) == 5
+    assert "identity failures: intertwine.chirp\n" in capsys.readouterr().err
+    defects = json.loads(out.read_text())["defects"]
+    assert abs(defects["intertwine.chirp"] - 2.0 * math.sin(0.05)) < 1e-12
+
+
+def test_intertwine_suite_against_the_closed_form(tmp_path):
+    out = tmp_path / "x.json"
+    assert run(["verify", "--suite", "intertwine", "--samples", "64",
+                "--out", str(out)]) == 0
+    defects = json.loads(out.read_text())["defects"]
+    assert sorted(defects) == ["intertwine.chirp", "intertwine.dilation",
+                               "intertwine.fourier", "intertwine.frft"]
+    assert max(defects.values()) <= 1e-11
+
+
 def test_find_zeros_negative_tol_exit_code(tmp_path, capsys):
     out = tmp_path / "x.json"
     assert run(["find-zeros", "--n", "32", "--tol", "-1", "--out", str(out)]) == 2
@@ -567,6 +599,16 @@ def test_window_shifted_far_in_time_is_not_a_frame(tmp_path, capsys):
     assert run(["frame-bounds", "--hermite", "0", "--shift", "1e6,0", "--n", "32",
                 "--out", str(out)]) == 0
     assert capsys.readouterr().out.strip() == "NotFrame"
+
+
+@pytest.mark.parametrize("command", ["frame-bounds", "zak-surface"])
+@pytest.mark.parametrize("n", ["-3", "7"])
+def test_surface_resolution_below_8_exit_code(tmp_path, capsys, command, n):
+    out = tmp_path / "x"
+    assert run([command, "--n", n, "--out", str(out)]) == 2
+    assert (capsys.readouterr().err
+            == f"configuration error: surface resolution must be at least 8, got {n}\n")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["frame-bounds", "find-zeros", "zak-surface"])

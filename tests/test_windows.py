@@ -7,7 +7,7 @@ import pytest
 
 from gaborkit.errors import UnboundedWindow
 from gaborkit.operators import (Chirp, Dilation, Fourier, FrFT, TFShift,
-                                apply_chain, apply_fourier)
+                                apply_chain)
 from gaborkit.special import hermite
 from gaborkit.windows import (NormalForm, descriptor, envelope, evaluate,
                               is_real, normal_form, parity, parse_descriptor,
@@ -124,7 +124,7 @@ def test_fourier_window_against_quadrature():
     for w in (window(3), window(2, (Dilation(1.5),)),
               window(1, (TFShift(0.4, -0.3), Dilation(0.8)))):
         fw = window(w.n, (Fourier(),) + w.chain, w.phase)
-        numeric = apply_fourier(realize(w))
+        numeric = Fourier().apply(realize(w))
         exact = evaluate(fw, numeric.points)
         defect = math.sqrt(float(np.sum(np.abs(numeric.values - exact) ** 2))
                            * numeric.step)
@@ -220,6 +220,18 @@ def test_descriptor_round_trip():
 def test_parse_descriptor_rejects_unknown_operator_keys(entry, key):
     with pytest.raises(ValueError, match=f"'{entry['op']}' has no field '{key}'"):
         parse_descriptor({"hermite": 1, "chain": [entry]})
+
+
+@pytest.mark.parametrize("q", ["1.5", "x", True, None, [1.0], 10 ** 400])
+def test_parse_descriptor_rejects_operator_fields_that_are_not_numbers(q):
+    with pytest.raises(ValueError, match="'chirp' needs the numeric fields q"):
+        parse_descriptor({"hermite": 1, "chain": [{"op": "chirp", "q": q}]})
+
+
+@pytest.mark.parametrize("n", [2.5, -1, "2"])
+def test_parse_descriptor_rejects_hermite_orders_that_are_not_integers(n):
+    with pytest.raises(ValueError, match="Hermite order must be a nonnegative integer"):
+        parse_descriptor({"hermite": n})
 
 
 def test_each_fractional_window_is_folded_once():

@@ -142,13 +142,27 @@ def _chirp_convolve(x, chirp_hat):
 def _pi_phase(m, num, den):
     # m * num / den mod 2, in units of pi, for an integer array m and integers
     # num and den > 0.  num / den is reduced mod 2 exactly, then split into a
-    # head whose products with every m are exact (so is their fmod) and a
-    # tail that carries the rest, so the phase keeps its last bits however
-    # large m * num / den is
+    # head whose products with every m are exact int64s (so is their
+    # remainder) and a tail that carries the rest, so the phase keeps its
+    # last bits however large m * num / den is
     scale = 2 ** (52 - int(np.abs(m).max()).bit_length())
     head, rest = divmod(num % (2 * den) * scale, den)
-    m = m.astype(float)
-    return np.fmod(m * (head / scale), 2.0) + m * (rest / (den * scale))
+    return np.fmod(m * head, 2 * scale) / scale + m * (rest / (den * scale))
+
+
+def _chirp_z(n, j0, pre, conv, post):
+    # the factors of out_k = post_k sum_j x_j pre_j exp(-i pi conv (k - j)^2),
+    # j = j0 .. j0 + n - 1, k = 0 .. n - 1, pre_j = exp(i pi (p2 j^2 + p1 j))
+    # for pre = (p2, p1) and post_k likewise, the chirp as its FFT at length
+    # 2n (_chirp_convolve).  Each coefficient is an exact ratio (num, den) of
+    # the float inputs, and each phase is reduced mod 2 from it (_pi_phase), as
+    # integers: the fractions module would add about 0.5 MB to a process
+    def factor(m, p2, p1):
+        return np.exp(1j * np.pi * (_pi_phase(m * m, *p2) + _pi_phase(m, *p1)))
+    u = np.arange(-(n - 1), n) - j0  # k - j over the convolution
+    chirp_hat = np.fft.fft(np.exp(-1j * np.pi * _pi_phase(u * u, *conv)), 2 * n)
+    pre_j = factor(np.arange(n) + j0, *pre)
+    return pre_j, chirp_hat, pre_j if (j0, post) == (0, pre) else factor(np.arange(n), *post)
 
 
 @lru_cache(maxsize=4)
@@ -161,22 +175,14 @@ def _dilation_kernel(a, n, step, extent):
     # a chirp-z transform.  Through 2 j k = j^2 + k^2 - (k - j)^2 it is the
     # convolution of the input factors exp(i pi (2 c j + j^2 / a) / n) times
     # S_j with the chirp exp(-i pi (k - j)^2 / (a n)), times the output
-    # factors exp(i pi k^2 / (a n)).  The phases reach 1e4 rad, so each is
-    # reduced from the exact ratios of the float inputs (_pi_phase), as
-    # integers: the fractions module would add about 0.5 MB to a process.  The
-    # output factors also carry 1 / (n sqrt(a)), and are zero where
-    # |t_k / a| > extent.
+    # factors exp(i pi k^2 / (a n)); the phases reach 1e4 rad.  The output
+    # factors also carry 1 / (n sqrt(a)), and are zero where |t_k / a| > extent.
     p, q = a.as_integer_ratio()
-    ep, eq = float(extent).as_integer_ratio()
-    sp, sq = float(step).as_integer_ratio()
+    (ep, eq), (sp, sq) = (float(v).as_integer_ratio() for v in (extent, step))
     alpha = (q, p * n)  # 1 / (a n)
     beta = (2 * ep * sq * (p - q), eq * sp * p * n)  # 2 c / n
-    j = np.arange(n) - n // 2
-    u = np.arange(-(n - 1), n) + n // 2  # k - j over the convolution
-    k = np.arange(n)
-    pre = np.exp(1j * np.pi * (_pi_phase(j * j, *alpha) + _pi_phase(j, *beta)))
-    chirp_hat = np.fft.fft(np.exp(-1j * np.pi * _pi_phase(u * u, *alpha)), 2 * n)
-    post = np.exp(1j * np.pi * _pi_phase(k * k, *alpha)) / (n * math.sqrt(a))
+    pre, chirp_hat, post = _chirp_z(n, -(n // 2), (alpha, beta), alpha, (alpha, (0, 1)))
+    post = post / (n * math.sqrt(a))
     post[np.abs(grid_points(extent, step)) > extent * a] = 0.0
     return _read_only((pre, chirp_hat, post))
 
@@ -214,33 +220,27 @@ def _reflect(f):
 
 @lru_cache(maxsize=2)
 def _frft_kernel(r, n, step, extent, refine):
-    # everything of the quadrature that depends only on the angle and the
-    # (refined) grid: the input factors (chirp exp(i pi cot t^2) times ramp),
-    # the FFT of the convolution chirp, and the output factors at the kept
-    # samples
+    # the grid-only factors of the quadrature, on the (refined) grid
+    # s_j = -E + j h, t_k = -E + k h: through -2 j k = (k - j)^2 - j^2 - k^2
+    # the kernel exp(i pi (cot (s^2 + t^2) - 2 csc s t)) has the factors
+    # exp(i pi (d h^2 j^2 - 2 d E h j)), d = cot - csc, in j and likewise in k,
+    # the chirp exp(i pi csc h^2 (k - j)^2) and the constant exp(2 pi i d E^2),
+    # which the output factors carry at the kept samples with amplitude and step
     cot = math.cos(r) / math.sin(r)
-    csc = 1.0 / math.sin(r)
-    pts = -extent + step * np.arange(n)
-    pre = np.exp(1j * np.pi * cot * pts * pts)
-    idx = np.arange(n, dtype=float)
-    ch2 = csc * step * step
-    edge = 2.0 * np.pi * csc * extent * step
-    ramp = np.exp(1j * (edge * idx - np.pi * ch2 * idx * idx))
-    u = np.arange(-(n - 1), n, dtype=float)
-    chirp_hat = np.fft.fft(np.exp(1j * np.pi * ch2 * u * u), 2 * n)
+    (cn, cd), (sn, sd), (hn, hd), (en, ed) = (
+        float(v).as_integer_ratio() for v in (cot, 1.0 / math.sin(r), step, extent))
+    dn, dd = cn * sd - sn * cd, cd * sd  # d = cot - csc
+    ramp = ((dn * hn * hn, dd * hd * hd), (-2 * dn * en * hn, dd * ed * hd))
+    pre, chirp_hat, post = _chirp_z(n, 0, ramp, (-sn * hn * hn, sd * hd * hd), ramp)
+    edge = cmath.exp(1j * math.pi * (2 * dn * en * en % (2 * dd * ed * ed) / (dd * ed * ed)))
     amp = np.sqrt(1.0 - 1j * cot)  # principal branch matches F_{pi/2} = F
-    out_ramp = (np.exp(-2j * np.pi * csc * extent * extent) * ramp)[::refine]
-    post = (amp * step * pre)[::refine]
-    return _read_only((pre * ramp, chirp_hat, out_ramp, post))
+    return _read_only((pre, chirp_hat, (amp * step * edge * post)[::refine]))
 
 
 def _frft_quadrature(r, f):
-    # composite-rule quadrature of the chirp kernel; the oscillatory sum
-    # sum_k g_k exp(-2 pi i csc s_j t_k) is evaluated through the chirp
-    # convolution identity 2 s t = s^2 + t^2 - (s - t)^2, which is the same
-    # sum computed with FFTs (_chirp_convolve).  The grid-only factors are
-    # cached for the last two keys, so a suite that applies one angle to many
-    # rows builds them once.
+    # composite-rule quadrature of the chirp kernel, a chirp-z transform
+    # (_frft_kernel); its grid-only factors are cached for the last two keys,
+    # so a suite that applies one angle to many rows builds them once
     cot = math.cos(r) / math.sin(r)
     csc = 1.0 / math.sin(r)
     if np.abs(f.values).max() == 0.0:
@@ -251,10 +251,8 @@ def _frft_quadrature(r, f):
     refine = max(1, int(math.ceil(2.0 * fmax * f.step)))
     values = upsample(f.values, refine) if refine > 1 else f.values
     n = values.size
-    pre, chirp_hat, out_ramp, post = _frft_kernel(
-        r, n, f.step / refine, f.extent, refine)
-    out = out_ramp * _chirp_convolve(values * pre, chirp_hat)[::refine]
-    out *= post
+    pre, chirp_hat, post = _frft_kernel(r, n, f.step / refine, f.extent, refine)
+    out = post * _chirp_convolve(values * pre, chirp_hat)[::refine]
     return SampledFunction(out, f.step, f.extent)
 
 

@@ -42,7 +42,7 @@ def window(n, chain=(), phase=1.0):
     relation F_r h_n = exp(-i n r) h_n, which is exact; the fold of
     :func:`normal_form` would round that phase.
     """
-    if n != int(n) or n < 0:
+    if isinstance(n, bool) or n != int(n) or n < 0:
         raise ValueError(f"Hermite order must be a nonnegative integer, got {n!r}")
     n = int(n)
     ops = list(chain)
@@ -67,6 +67,14 @@ class NormalForm(NamedTuple):
 _CANONICAL = (TFShift, Chirp, Dilation)
 
 
+def _expi(theta):
+    # exp(i theta), exact where theta is a whole multiple of the float pi / 2,
+    # so that a fold of real links keeps a real phase
+    if theta % (0.5 * math.pi) == 0.0:
+        return (1.0 + 0.0j, 1j, -1.0 + 0.0j, -1j)[round(theta / (0.5 * math.pi)) % 4]
+    return cmath.exp(1j * theta)
+
+
 @lru_cache(maxsize=64)
 def normal_form(w):
     """The :class:`NormalForm` of a window: w = c pi(x, omega) Chirp(q) Dilation(a) h_n.
@@ -81,6 +89,8 @@ def normal_form(w):
     j = A + B tau, tau <- (C + D tau) / j,
     c <- c exp(i (rho / 2 - (n + 1/2) arg j)), and moves pi(x, omega) past
     itself: (x, omega) <- A (x, omega) with c <- c exp(i pi (x omega - x' omega')).
+    A factor exp(i theta) whose theta is a whole multiple of pi / 2 is taken
+    exactly from (1, i, -1, -i), so real links keep a real phase.
     At the end q = Re tau and a = (Im tau)^(-1/2).  Raises
     :class:`UnboundedWindow` when that arithmetic over- or underflows, or
     when a link changes a shift of 2**52 or more, where floats hold no
@@ -95,7 +105,7 @@ def normal_form(w):
         for op in reversed(w.chain):
             old = (x, omega)
             if op.angle is None:
-                c *= cmath.exp(-2j * math.pi * op.x * omega)
+                c *= _expi(-2.0 * math.pi * op.x * omega)
                 x, omega = op.x + x, op.omega + omega
                 moved = (op.x or op.omega) and old != (0.0, 0.0)
             else:
@@ -103,8 +113,8 @@ def normal_form(w):
                 j = A + B * tau
                 tau = (C + D * tau) / j
                 x1, omega1 = A * x + B * omega, C * x + D * omega
-                c *= cmath.exp(1j * (0.5 * op.angle - (w.n + 0.5) * cmath.phase(j)
-                                     + math.pi * (x * omega - x1 * omega1)))
+                c *= _expi(0.5 * op.angle - (w.n + 0.5) * cmath.phase(j)
+                           + math.pi * (x * omega - x1 * omega1))
                 x, omega = x1, omega1
                 moved = (x, omega) != old
             if moved and max(map(abs, old + (x, omega))) >= 2 ** 52:

@@ -454,7 +454,17 @@ def test_intertwine_suite_against_the_closed_form(tmp_path):
     defects = json.loads(out.read_text())["defects"]
     assert sorted(defects) == ["intertwine.chirp", "intertwine.dilation",
                                "intertwine.fourier", "intertwine.frft"]
-    assert max(defects.values()) <= 1e-11
+    assert max(defects.values()) <= 1e-13
+
+
+def test_frft_suite_next_to_pi_against_the_closed_form(tmp_path):
+    # the quadrature's phases are reduced exactly, so at r = 3.1 its defects
+    # are rounding of the samples, not of phases of 1e3 rad
+    out = tmp_path / "x.json"
+    assert run(["verify", "--suite", "frft", "--hermite", "4", "--angle", "3.1",
+                "--out", str(out)]) == 0
+    defects = json.loads(out.read_text())["defects"]
+    assert max(defects["frft.eigenvalue_quadrature"], defects["frft.semigroup"]) <= 1e-13
 
 
 def test_find_zeros_negative_tol_exit_code(tmp_path, capsys):

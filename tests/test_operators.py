@@ -165,6 +165,70 @@ def test_dilation_kernel_phases_match_mpmath(a):
             assert min(diff, 2 - diff) <= 4e-16 * max(1.0, abs(th))
 
 
+@pytest.mark.parametrize("r, refine, bound", [
+    (0.6, 1, 4e-15), (math.pi / 2.0, 1, 4e-15), (2.7, 1, 4e-15), (-1.0, 1, 4e-15),
+    (0.05, 4, 1e-14),
+])
+def test_frft_kernel_phases_match_mpmath(r, refine, bound):
+    # the reduced phases of the cached quadrature factors, against the exact
+    # phases of the float inputs at 40 digits.  On the grid refined 4x, j^2
+    # reaches 2**28 and the tail of _pi_phase reaches 16, whose rounding
+    # the bound allows
+    n, step, extent = 3072 * refine, 1.0 / 128.0 / refine, 12.0
+    pre, chirp_hat, post = operators._frft_kernel(r, n, step, extent, refine)
+    chirp = np.fft.ifft(chirp_hat)[:2 * n - 1]
+    cot = math.cos(r) / math.sin(r)
+    d = Fraction(cot) - Fraction(1.0 / math.sin(r))
+    csc_h2 = Fraction(1.0 / math.sin(r)) * Fraction(step) ** 2
+    h, e = Fraction(step), Fraction(extent)
+    amp = complex(np.sqrt(1.0 - 1j * cot)) * step
+    with mp.workdps(40):
+        def expi_pi(theta):
+            theta %= 2  # exact, then rounded to 40 digits
+            return complex(mp.expjpi(mp.mpf(theta.numerator) / theta.denominator))
+
+        for j in (*range(0, n, 97), n - 1):
+            assert abs(pre[j] - expi_pi(d * h * h * j * j - 2 * d * e * h * j)) <= bound
+        for i in (*range(0, n // refine, 97), n // refine - 1):
+            k = i * refine
+            exact = expi_pi(2 * d * e * e + d * h * h * k * k - 2 * d * e * h * k)
+            assert abs(post[i] / amp - exact) <= bound
+        for idx in (*range(0, 2 * n - 1, 97), 2 * n - 2):
+            u = idx - (n - 1)
+            assert abs(chirp[idx] - expi_pi(csc_h2 * u * u)) <= 1e-14
+
+
+@pytest.mark.parametrize("r, bound", [
+    (0.6, 1e-14), (math.pi / 2.0, 1e-14), (2.7, 1e-14), (-1.0, 1e-14),
+    (0.05, 1e-13),  # refined
+    (0.01, 1e-11), (-0.002, 2e-11), (3.13, 5e-12),  # next to the singular angles
+])
+def test_frft_of_shifted_and_chirped_hermite_matches_closed_form(r, bound):
+    for n in (0, 3, 7):
+        for chain in ((TFShift(0.4, -0.3),), (Chirp(0.5), TFShift(-0.2, 0.3))):
+            f = realize(window(n, chain))
+            expected = evaluate(window(n, (FrFT(r),) + chain), f.points)
+            assert np.max(np.abs(apply_frft(r, f).values - expected)) <= bound
+
+
+@pytest.mark.parametrize("num, den", [
+    (1, 2), (0, 1), (7, 1), (-3, 2 ** 60), (2 ** 70 + 1, 3 * 2 ** 75),
+    (-(5 ** 40), 2 ** 90 * 7),
+])
+def test_pi_phase_is_the_float_fmod_reduction(num, den):
+    # the int64 remainder of the head gives the bits of its float fmod; a
+    # zero may differ in sign, which exp(i pi theta) does not see
+    for m in (np.arange(-50, 50), np.array([-(2 ** 26) + 3, -12345, -1, 0, 2 ** 26 - 1]),
+              np.arange(-3072, 3072) ** 2 * np.array([1, -1] * 3072)):
+        scale = 2 ** (52 - int(np.abs(m).max()).bit_length())
+        head, rest = divmod(num % (2 * den) * scale, den)
+        mf = m.astype(float)
+        expected = np.fmod(mf * (head / scale), 2.0) + mf * (rest / (den * scale))
+        theta = operators._pi_phase(m, num, den)
+        assert np.array_equal(theta, expected)
+        assert np.exp(1j * np.pi * theta).tobytes() == np.exp(1j * np.pi * expected).tobytes()
+
+
 @pytest.mark.parametrize("a", [1e-300, 5e-324, 1e-12, 1e12, 1e300])
 def test_dilation_by_extreme_factors_is_finite_and_silent(a):
     # a <= 1e-12 keeps only the t = 0 sample, f(0) / sqrt(a); a >= 1e12 maps

@@ -185,6 +185,16 @@ def test_parity_and_reality_read_the_normal_form():
     assert rep["parity_zeros"] <= 1e-12 and rep["conjugate_symmetry"] <= 1e-12
 
 
+@pytest.mark.parametrize("link", [Dilation(2.0), TFShift(0.0, 0.0)])
+def test_a_fold_through_quarter_turns_keeps_a_real_window_real(link):
+    # F D_2 h_2 = -D_(1/2) h_2 and F pi(0, 0) h_2 = -h_2: the fold's phase
+    # is a sum of quarter turns, and exp(-i pi) is -1 exactly
+    w = window(2, (Fourier(), link))
+    assert normal_form(w).phase == -1.0
+    assert is_real(w)
+    assert verify_identities(w, [(0.1, 0.2), (0.7, 0.4)])["conjugate_symmetry"] <= 1e-12
+
+
 def test_envelope_tail_of_a_high_order_is_summed_in_log_space():
     # (1 + j)^150 alone overflows a float from j of about 112; the tail still
     # matches a 40-digit sum of its 81 terms, and is warning-free past there
@@ -228,10 +238,13 @@ def test_parse_descriptor_rejects_operator_fields_that_are_not_numbers(q):
         parse_descriptor({"hermite": 1, "chain": [{"op": "chirp", "q": q}]})
 
 
-@pytest.mark.parametrize("n", [2.5, -1, "2"])
+@pytest.mark.parametrize("n", [2.5, -1, "2", True, False])
 def test_parse_descriptor_rejects_hermite_orders_that_are_not_integers(n):
+    # a bool equals an int, but is not a Hermite order
     with pytest.raises(ValueError, match="Hermite order must be a nonnegative integer"):
         parse_descriptor({"hermite": n})
+    with pytest.raises(ValueError, match="Hermite order must be a nonnegative integer"):
+        window(n)
 
 
 def test_each_fractional_window_is_folded_once():

@@ -3,11 +3,13 @@
 :func:`frame_bounds` first rewrites a system over a reducible point set as
 a multi-window system over the integer lattice; the frame bounds are then
 the extrema of the multi-window Zak objective sum_m |Z g_m|^2 on the
-fundamental domain.  The grid stage holds the objective F (8N^2 bytes), a
-tile of whole rows (2^14 values while N <= 2^14) and the Zak sum's O(N)
-factors: F is summed from row tiles of the Zak surfaces, then one pass over
-tiles padded with a torus halo gives the slacks of F and of its square root
-and the 3 x 3 minima.
+fundamental domain.  The grid stage holds no N x N array: each tile of whole
+rows of the objective F (2^14 values while N <= 2^14) is summed from the
+windows' Zak tiles, and once the next tile exists it is padded with a
+one-row torus halo and read for the slacks of F and of its square root and
+the 3 x 3 minima; tile 0 is read last.  Its memory is a ring of five F
+tiles, one complex tile per window, a few work tiles and the Zak sums' O(N)
+factors, and it accepts N up to 2^16.
 Candidate grid minima are refined together by damped Newton steps on batched
 Zak values (to a relative gain of 1e-12); one batched evaluation then snaps
 each coordinate to a rational of denominator at most 8 within 1e-6 where
@@ -17,6 +19,7 @@ certified zeros (not-frame) or a grid-Lipschitz slack margin (likely-frame).
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import NamedTuple
 
 import numpy as np
@@ -39,6 +42,8 @@ _SNAP_DENOM = 8
 _SNAP_DIST = 1e-6
 _CERTIFIED_RESIDUAL = 1e-10
 _SLACK_FACTOR = 10.0
+# the finest grid of the zero search (a whole F there would take 34 GB)
+_MAX_RESOLUTION = 2 ** 16
 
 
 @dataclass
@@ -241,22 +246,30 @@ def _snap(windows, pts, trunc):
             in zip(V[rows, pick].tolist(), F[rows, pick].tolist())]
 
 
-def _padded(F, i0, i1):
-    # rows i0 .. i1 - 1 of F with one torus halo row and column on each side
-    rows = F.take(np.arange(i0 - 1, i1 + 1) % len(F), axis=0)
-    return np.concatenate((rows[:, -1:], rows, rows[:, :1]), axis=1)
+def _halo(top, rows, bottom, out=None):
+    """The padded tile of F's rows i0 .. i1 - 1 (rows) with one torus halo row
+    and column on each side: top and bottom are F's rows i0 - 1 and i1 mod N;
+    written into the first len(rows) + 2 rows of out when given."""
+    n, N = rows.shape
+    P = np.empty((n + 2, N + 2)) if out is None else out[:n + 2]
+    P[0, 1:-1], P[1:-1, 1:-1], P[-1, 1:-1] = top, rows, bottom
+    P[:, 0], P[:, -1] = P[:, -2], P[:, 1]
+    return P
 
 
-def _local_minima_mask(P):
-    """Inner nodes of a padded tile P at or below their 3 x 3 neighbourhood."""
-    m = np.minimum(np.minimum(P[:-2], P[1:-1]), P[2:])
-    return P[1:-1, 1:-1] <= np.minimum(np.minimum(m[:, :-2], m[:, 1:-1]), m[:, 2:])
+def _local_minima_mask(P, m=None, low=None, out=None):
+    """Inner nodes of a padded tile P at or below their 3 x 3 neighbourhood;
+    m (with P's columns), low and out (inner nodes) are optional work arrays."""
+    m = np.minimum(np.minimum(P[:-2], P[1:-1], out=m), P[2:], out=m)
+    low = np.minimum(np.minimum(m[:, :-2], m[:, 1:-1], out=low), m[:, 2:], out=low)
+    return np.less_equal(P[1:-1, 1:-1], low, out=out)
 
 
-def _grid_slack(P):
-    """Largest step |F[i] - F[i - 1]| along either axis into an inner node of P."""
-    steps = (P[1:-1, 1:-1] - before for before in (P[:-2, 1:-1], P[1:-1, :-2]))
-    return max(float(np.abs(d, out=d).max()) for d in steps)
+def _grid_slack(P, d=None):
+    """Largest step |F[i] - F[i - 1]| along either axis into an inner node of
+    P; d is an optional work array of P's inner nodes."""
+    return max(float(np.abs(np.subtract(P[1:-1, 1:-1], before, out=d), out=d).max())
+               for before in (P[:-2, 1:-1], P[1:-1, :-2]))
 
 
 def _unit(v):
@@ -270,34 +283,89 @@ def _torus_dist(a, b):
     return min(d, 1.0 - d)
 
 
+def _views(*shapes):
+    """Float arrays of the given shapes, consecutive views of one new block."""
+    sizes = [math.prod(shape) for shape in shapes]
+    block = np.empty(sum(sizes))
+    return [block[end - size:end].reshape(shape)
+            for shape, size, end in zip(shapes, sizes, accumulate(sizes))]
+
+
+def _objective_tiles(windows, N, trunc, ring, sq, ztiles):
+    """F = sum_m |Z g_m|^2 on the N x N grid in tiles of whole rows, made a
+    tile per step and summed in window order, window m's Zak tile written
+    into ztiles[m] and its square into sq.  Tile k is written into ring[k]
+    while k < 2 and into ring[2], ring[3] and ring[4] in turn after that, so
+    tiles 0 and 1 and the last three made are held."""
+    zs = [_surface_tiles(g, N, trunc, z) for g, z in zip(windows, ztiles)]
+    for k, ((_, z), *rest) in enumerate(zip(*zs)):
+        F = np.abs(z, out=ring[k if k < 2 else 2 + (k - 2) % 3, :len(z)])
+        np.multiply(F, F, out=F)
+        for _, z in rest:
+            s = np.abs(z, out=sq[:len(z)])
+            F += np.multiply(s, s, out=s)
+        yield F
+
+
 def _grid_candidates(windows, N, trunc):
     """The grid stage of the zero search: extrema and slacks of the objective
-    F = sum_m |Z g_m|^2 on the N x N grid, and the candidate nodes.  F, the
-    only N x N array, is summed from row tiles and read in padded tiles."""
-    F = np.zeros((N, N))  # first, so that a grid too large fails at once
-    for g in windows:
-        for i0, tile in _surface_tiles(g, N, trunc):
-            tile = np.abs(tile)  # the complex tile is freed here
-            F[i0:i0 + len(tile)] += np.multiply(tile, tile, out=tile)
-        del tile  # and the last one before the next window is evaluated
-    A_grid, B_grid = float(F.min()), float(F.max())
-    slack, amp_slack, minima = 0.0, 0.0, []
-    for i0 in range(0, N, rows := _tile_rows(N)):
-        P = _padded(F, i0, min(i0 + rows, N))
-        slack = max(slack, _grid_slack(P))
-        amp_slack = max(amp_slack, _grid_slack(np.sqrt(P)))
-        minima.append(i0 * N + np.flatnonzero(_local_minima_mask(P)))
+    F = sum_m |Z g_m|^2 on the N x N grid, and the candidate nodes.  No N x N
+    array is made: each row tile of F is read once the next one exists, with
+    a one-row torus halo, and tile 0 last, below the last tile's final row."""
+    rows = _tile_rows(N)
+    # every work array is a view of one block, allocated once per call: once
+    # freed, a block this large raises glibc's mmap threshold, so later calls
+    # take it from the heap; tiles of about 128 kB allocated one by one were
+    # mapped and page-faulted anew on every call
+    ring, sq, d, low, m, P, *zt = _views(
+        (5, rows, N), (rows, N), (rows, N), (rows, N), (rows, N + 2), (rows + 2, N + 2),
+        *[(rows, 2 * N)] * len(windows))
+    mask = np.empty((rows, N), bool)
+    extrema, reads = [], []
+
+    def read(k, top, F, bottom):
+        # 3 x 3 minima of tile k with their values, and the slacks of F and,
+        # with the halo tile's square root taken in place, of sqrt(F)
+        n = len(F)
+        H = _halo(top, F, bottom, P)
+        idx = np.flatnonzero(_local_minima_mask(H, m[:n], low[:n], mask[:n]))
+        slack = _grid_slack(H, d[:n])
+        reads.append((slack, _grid_slack(np.sqrt(H, out=H), d[:n]),
+                      k * rows * N + idx, F.reshape(-1)[idx]))
+
+    second = None
+    for k, F in enumerate(_objective_tiles(windows, N, trunc, ring, sq,
+                                           [z.view(complex) for z in zt])):
+        extrema.append((float(F.min()), float(F.max())))
+        if k == 0:
+            first = F
+        else:
+            if k == 1:
+                second = F
+            else:  # tile k - 1, between its neighbours
+                read(k - 1, top, prev, F[0])
+            top = prev[-1]
+        prev = F
+    if second is not None:  # the last tile, above tile 0
+        read(k, top, prev, first[0])
+    read(0, prev[-1], first, first[0] if second is None else second[0])
+    reads.insert(0, reads.pop())  # row-major order
+    slacks, amp_slacks, idx, vals = zip(*reads)
+    A_grid, B_grid = min(lo for lo, _ in extrema), max(hi for _, hi in extrema)
+    slack, amp_slack = max(slacks), max(amp_slacks)
     # candidate nodes: local minima low enough to hide a zero of the
     # amplitude within one grid cell (the global minimum always qualifies)
     threshold = max(3.0 * A_grid, (4.0 * amp_slack) ** 2, 1e-24)
-    idx = np.concatenate(minima)
+    idx = np.concatenate(idx)
     # the row-major (i, j) of each candidate, as np.argwhere gives them
-    cand = np.stack(np.divmod(idx[F.reshape(-1)[idx] <= threshold], N), axis=1)
+    cand = np.stack(np.divmod(idx[np.concatenate(vals) <= threshold], N), axis=1)
     return A_grid, B_grid, slack, amp_slack, cand
 
 
 def _search_zeros(windows, resolution, trunc, tol):
     N = _grid_resolution(resolution)
+    if N > _MAX_RESOLUTION:  # checked here: no allocation of size N fails first
+        raise ValueError(f"zero search resolution must be at most {_MAX_RESOLUTION}, got {N}")
     # |Z| alone is read: on the torus, the local model sees no shift phase
     windows = [on_torus(g)[0] for g in windows]
     A_grid, B_grid, slack, amp_slack, cand = _grid_candidates(windows, N, trunc)

@@ -28,6 +28,15 @@ _EXACT_ANGLE = 1e-12
 _SUPPORT_REL = 1e-14
 
 
+def _quarter_turns(theta):
+    """k in 0..3 when theta is a whole multiple of the float pi / 2, congruent
+    to k pi / 2 mod 2 pi, else None: where cos and sin of theta are taken
+    exactly from (1, 0, -1, 0)."""
+    if theta % (0.5 * math.pi) == 0.0:
+        return round(theta / (0.5 * math.pi)) % 4
+    return None
+
+
 def grid_points(extent=DEFAULT_EXTENT, step=DEFAULT_STEP):
     """Uniform grid -extent, -extent+step, ..., extent-step."""
     n = int(round(2.0 * extent / step))
@@ -374,7 +383,11 @@ class FrFT(Op):
     tag = "frft"
 
     def matrix(self):
-        return rotation(self.r)
+        k = _quarter_turns(self.r)
+        if k is None:
+            return rotation(self.r)
+        c, s = (1.0, 0.0, -1.0, 0.0)[k], (0.0, 1.0, 0.0, -1.0)[k]
+        return np.array([[c, s], [-s, c]])
 
     @property
     def angle(self):

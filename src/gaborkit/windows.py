@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import UnboundedWindow
 from .operators import (DEFAULT_EXTENT, DEFAULT_STEP, Chirp, Dilation, Op,
-                        SampledFunction, TFShift, grid_points)
+                        SampledFunction, TFShift, _quarter_turns, grid_points)
 from .special import hermite, hermite_envelope_constant
 
 
@@ -70,9 +70,8 @@ _CANONICAL = (TFShift, Chirp, Dilation)
 def _expi(theta):
     # exp(i theta), exact where theta is a whole multiple of the float pi / 2,
     # so that a fold of real links keeps a real phase
-    if theta % (0.5 * math.pi) == 0.0:
-        return (1.0 + 0.0j, 1j, -1.0 + 0.0j, -1j)[round(theta / (0.5 * math.pi)) % 4]
-    return cmath.exp(1j * theta)
+    k = _quarter_turns(theta)
+    return cmath.exp(1j * theta) if k is None else (1.0 + 0.0j, 1j, -1.0 + 0.0j, -1j)[k]
 
 
 @lru_cache(maxsize=64)

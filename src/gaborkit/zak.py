@@ -153,7 +153,7 @@ class ZakSurface:
 
 def _tile_rows(N):
     # whole rows, 2**14 values a tile while N <= 2**14; N <= 128 is one tile
-    return max(1, 2 ** 14 // N)
+    return min(N, max(1, 2 ** 14 // N))
 
 
 def _grid_resolution(resolution):
@@ -167,8 +167,10 @@ def _grid_resolution(resolution):
 
 def _surface_tiles(w, N, trunc, out=None):
     """Z w on the N x N grid in tiles of whole rows, made a tile per step:
-    yields (i0, tile) with tile[r, j] = Z w ((i0 + r) / N, j / N), written into
-    the rows of out when given.  The window is evaluated on about 2**11 points at once."""
+    yields (i0, tile) with tile[r, j] = Z w ((i0 + r) / N, j / N), written when
+    given into out's rows i0 mod len(out) on: out holds all N rows, or one
+    tile's, reused by every tile.  The window is evaluated on about 2**11
+    points at once."""
     K = _truncation(w, trunc)
     w, m, l, s = on_torus(w)
     center = envelope(w).center
@@ -186,8 +188,9 @@ def _surface_tiles(w, N, trunc, out=None):
         if m or l:
             vals *= row_factors[b0:b0 + block]
         for i0 in range(b0, b0 + len(vals), rows):
-            tile_out = None if out is None else out[i0:i0 + rows]
-            yield i0, np.matmul(vals[i0 - b0:i0 - b0 + rows], phases, out=tile_out)
+            v = vals[i0 - b0:i0 - b0 + rows]
+            tile_out = None if out is None else out[i0 % len(out):][:len(v)]
+            yield i0, np.matmul(v, phases, out=tile_out)
 
 
 def zak_surface(w, resolution, trunc=None):

@@ -623,9 +623,9 @@ def test_surface_resolution_below_8_exit_code(tmp_path, capsys, command, n):
 
 @pytest.mark.parametrize("command", ["frame-bounds", "find-zeros", "zak-surface"])
 def test_grid_too_large_to_allocate_exit_code(tmp_path, capsys, monkeypatch, command):
-    # the N x N grid (F, or the values of zak-surface) is the first allocation
-    # that grows with N, and at 8e16 bytes and more it fails at once; the Zak
-    # sum's factors, which grow with N too, must not be reached
+    # the zero search refuses N above 2**16, and zak-surface's N x N values
+    # at 1.6e17 bytes fail to allocate at once; either way the Zak sum's
+    # factors, which grow with N, must not be reached
     def reached(k_lo, k_hi):
         raise AssertionError("the Zak sum's factors were built before the grid")
     monkeypatch.setattr(zak, "_indices", reached)

@@ -349,9 +349,15 @@ def eight_neighbour_minima(F):
     return mask
 
 
+def padded(F, i0, i1):
+    # rows i0 .. i1 - 1 of F with one torus halo row and column on each side
+    from gaborkit.frames import _halo
+    return _halo(F[i0 - 1], F[i0:i1], F[i1 % len(F)])
+
+
 @pytest.mark.parametrize("N", [1, 2, 3, 5, 8, 33])
 def test_local_minima_mask_matches_eight_neighbour_reference(N):
-    from gaborkit.frames import _local_minima_mask, _padded
+    from gaborkit.frames import _local_minima_mask
     rng = np.random.default_rng(N)
     plateau = np.ones((N, N))
     plateau[N // 2:, : N // 2 + 1] = 0.5  # a flat valley with a flat rim
@@ -359,7 +365,7 @@ def test_local_minima_mask_matches_eight_neighbour_reference(N):
              rng.integers(0, 3, (N, N)).astype(float),  # many ties
              np.full((N, N), 2.0), plateau]
     for F in grids:
-        assert np.array_equal(_local_minima_mask(_padded(F, 0, N)),
+        assert np.array_equal(_local_minima_mask(padded(F, 0, N)),
                               eight_neighbour_minima(F))
 
 
@@ -367,11 +373,11 @@ def test_local_minima_mask_matches_eight_neighbour_reference(N):
 def test_padded_tiles_reassemble_the_whole_grid(N):
     # the grid stage reads F in tiles of whole rows; tiles of any height
     # give the whole grid's minima mask and slack
-    from gaborkit.frames import _grid_slack, _local_minima_mask, _padded
+    from gaborkit.frames import _grid_slack, _local_minima_mask
     rng = np.random.default_rng(200 + N)
     for F in (rng.random((N, N)), rng.integers(0, 3, (N, N)).astype(float)):
         for rows in (1, 2, N):
-            tiles = [_padded(F, i0, min(i0 + rows, N)) for i0 in range(0, N, rows)]
+            tiles = [padded(F, i0, min(i0 + rows, N)) for i0 in range(0, N, rows)]
             assert np.array_equal(np.vstack([_local_minima_mask(P) for P in tiles]),
                                   eight_neighbour_minima(F))
             assert max(_grid_slack(P) for P in tiles) == roll_grid_slack(F)
@@ -420,6 +426,23 @@ def test_zero_search_makes_only_batched_zak_calls(monkeypatch, w):
     assert zeros and calls["batched"] > 0 and calls["scalar"] == 0
 
 
+@pytest.mark.parametrize("search", [
+    lambda N: find_zak_zeros(window(0), N),
+    lambda N: frame_bounds(system(0, "Z2-union-half"), N)], ids=["find-zeros", "frame-bounds"])
+def test_zero_search_refuses_grids_finer_than_2_16(monkeypatch, search):
+    # the check comes before anything of size N: above 2**16 the Zak sum's
+    # factors are not reached, and at 2**16 the search goes on to build them
+    from gaborkit import zak
+
+    def reached(k_lo, k_hi):
+        raise AssertionError("the Zak sum's factors were built")
+    monkeypatch.setattr(zak, "_indices", reached)
+    with pytest.raises(ValueError, match="must be at most 65536, got 65537$"):
+        search(2 ** 16 + 1)
+    with pytest.raises(AssertionError, match="factors were built"):
+        search(2 ** 16)
+
+
 def test_find_zeros_rejects_non_finite_tol():
     for tol in (math.nan, math.inf):
         with pytest.raises(ValueError, match=f"needs a finite tol, got {tol!r}"):
@@ -458,7 +481,7 @@ def roll_grid_candidates(windows, N, trunc):
 
 @pytest.mark.parametrize("N", [1, 2, 3, 5, 8, 33])
 def test_grid_slack_matches_roll_reference(N):
-    from gaborkit.frames import _grid_slack, _padded
+    from gaborkit.frames import _grid_slack
     rng = np.random.default_rng(100 + N)
     ramp = np.arange(N, dtype=float)
     grids = [rng.standard_normal((N, N)),  # steps of both signs
@@ -468,10 +491,10 @@ def test_grid_slack_matches_roll_reference(N):
              np.repeat(-ramp[None, :], N, axis=0),  # ... and the wrap column
              np.add.outer(ramp, 2.0 * ramp[::-1])]
     for F in grids:
-        assert _grid_slack(_padded(F, 0, N)) == roll_grid_slack(F)
+        assert _grid_slack(padded(F, 0, N)) == roll_grid_slack(F)
     if N > 2:
-        assert _grid_slack(_padded(grids[3], 0, N)) \
-            == _grid_slack(_padded(grids[4], 0, N)) == N - 1.0
+        assert _grid_slack(padded(grids[3], 0, N)) \
+            == _grid_slack(padded(grids[4], 0, N)) == N - 1.0
 
 
 def union_systems():
@@ -483,7 +506,8 @@ def union_systems():
     return cases
 
 
-@pytest.mark.parametrize("N", [33, 64, 255])
+# 129 rows are tiles of 127 and 2, and 181 rows tiles of 90, 90 and 1
+@pytest.mark.parametrize("N", [33, 64, 129, 181, 255])
 @pytest.mark.parametrize("sys_", union_systems())
 def test_grid_stage_matches_roll_reference_bit_for_bit(monkeypatch, N, sys_):
     from gaborkit import frames
@@ -497,9 +521,9 @@ def test_grid_stage_matches_roll_reference_bit_for_bit(monkeypatch, N, sys_):
 
 
 def test_grid_stage_holds_one_grid_sized_array():
-    # F is the only N x N array: the Zak surfaces arrive in row tiles of
-    # 2**14 values, from window values evaluated on about 2**11 points at a
-    # time, and F is read back in padded tiles; about 1.32 x 8N^2 at N = 512
+    # no N x N array is made: the Zak surfaces arrive in row tiles of 2**14
+    # values, from window values evaluated on about 2**11 points at a time,
+    # and F is summed and read a row tile at a time
     import tracemalloc
     from gaborkit import frames
     union = point_set(np.eye(2), [(0.0, 0.0), (0.25, 0.25)])
@@ -514,3 +538,22 @@ def test_grid_stage_holds_one_grid_sized_array():
     finally:
         tracemalloc.stop()
     assert peak < 1.5 * 8 * N * N
+
+
+def test_grid_stage_memory_grows_with_n_not_n_squared():
+    # a ring of row tiles of F and O(N) work arrays, about 3.5 MB at N = 2048
+    # for the system above, where F alone would take 8N^2 = 34 MB
+    import tracemalloc
+    from gaborkit import frames
+    union = point_set(np.eye(2), [(0.0, 0.0), (0.25, 0.25)])
+    windows = reduce_to_multiwindow(GaborSystem([window(4)], union)).windows
+    N = 2048
+    frames._grid_candidates(windows, N, None)  # fill the per-window caches
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        frames._grid_candidates(windows, N, None)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * N * N / 4

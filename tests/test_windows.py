@@ -195,6 +195,17 @@ def test_a_fold_through_quarter_turns_keeps_a_real_window_real(link):
     assert verify_identities(w, [(0.1, 0.2), (0.7, 0.4)])["conjugate_symmetry"] <= 1e-12
 
 
+@pytest.mark.parametrize("n, r", [(1, math.pi), (2, 1.5 * math.pi)])
+def test_frft_by_a_float_quarter_turn_keeps_a_real_window_real(n, r):
+    # FrFT(pi) D_2 h_1 = -D_2 h_1 and FrFT(3 pi / 2) D_2 h_2 = -D_(1/2) h_2:
+    # the rotation's entries are 0 and +-1 exactly, so no chirp of a float
+    # sin(pi) = 1.2e-16 is left, and the phase is -1
+    w = window(n, (FrFT(r), Dilation(2.0)))
+    assert normal_form(w).q == 0.0 and normal_form(w).phase == -1.0
+    assert is_real(w)
+    assert verify_identities(w, [(0.1, 0.2), (0.7, 0.4)])["conjugate_symmetry"] <= 1e-12
+
+
 def test_envelope_tail_of_a_high_order_is_summed_in_log_space():
     # (1 + j)^150 alone overflows a float from j of about 112; the tail still
     # matches a 40-digit sum of its 81 terms, and is warning-free past there

@@ -10,11 +10,11 @@ one-row torus halo and read for the slacks of F and of its square root and
 the 3 x 3 minima; tile 0 is read last.  Its memory is a ring of five F
 tiles, one complex tile per window, a few work tiles and the Zak sums' O(N)
 factors, and it accepts N up to 2^16.
-Candidate grid minima are refined together by damped Newton steps on batched
-Zak values (to a relative gain of 1e-12); one batched evaluation then snaps
-each coordinate to a rational of denominator at most 8 within 1e-6 where
-the objective is no larger, and gives the residual.  Verdicts are gated by
-certified zeros (not-frame) or a grid-Lipschitz slack margin (likely-frame).
+Candidate grid minima are refined by damped Newton steps on batched Zak values
+and exact derivatives (Hermite ladder), to a relative gain of 1e-12; one
+batched evaluation then snaps each coordinate to a rational of denominator at
+most 8 within 1e-6 where the objective is no larger, and gives the residual.
+Verdicts are gated by certified zeros (NotFrame) or a slack margin (LikelyFrame).
 """
 
 import math
@@ -31,7 +31,7 @@ from .operators import Chirp, Dilation, FrFT, TFShift, project_isomorphism
 from .special import theta3
 from .windows import window
 from .zak import (_finite_values, _grid_resolution, _surface_tiles, _tile_rows,
-                  on_torus, zak_point)
+                  _zak_jet, on_torus, zak_point)
 
 NOT_FRAME = "NotFrame"
 LIKELY_FRAME = "LikelyFrame"
@@ -133,12 +133,6 @@ def reduce_to_multiwindow(sys):
     return GaborSystem(windows=new_windows, point_set=point_set(np.eye(2)))
 
 
-# stencil of the local model: the point, +-h in each coordinate for first
-# differences, and +-h2 with the four corners for second differences
-_H1, _H2 = 1e-7, 1e-4
-_STENCIL = np.array([(0.0, 0.0), (_H1, 0.0), (-_H1, 0.0), (0.0, _H1), (0.0, -_H1),
-                     (_H2, 0.0), (-_H2, 0.0), (0.0, _H2), (0.0, -_H2),
-                     (_H2, _H2), (_H2, -_H2), (-_H2, _H2), (-_H2, -_H2)])
 _ZERO_OBJECTIVE = 1e-30
 _LAMBDA_START, _LAMBDA_MAX = 1e-3, 1e12
 _REFINE_TOL = 1e-12
@@ -148,24 +142,13 @@ _MAX_ITERATIONS = 100
 def _local_model(windows, pts, trunc):
     """Objective F = sum_m |Z g_m|^2 at each point of pts (n x 2), with half
     its gradient J^T r and half its Hessian J^T J + sum r . hess(r), where r
-    stacks (Re Z g_m, Im Z g_m); one batched zak_point call per window."""
-    X = pts[:, :1] + _STENCIL[:, 0]
-    Om = pts[:, 1:] + _STENCIL[:, 1]
-    F = np.zeros(len(pts))
-    grad = np.zeros((len(pts), 2))
-    hess = np.zeros((len(pts), 2, 2))
+    stacks (Re Z g_m, Im Z g_m); exact from the Hermite ladder, one _zak_jet call a window."""
+    F = grad = hess = 0.0
     for g in windows:
-        z = zak_point(g, X, Om, trunc)
-        c = z[:, 0]
-        d = (z[:, [1, 3]] - z[:, [2, 4]]) / (2.0 * _H1)
-        dd = np.empty((len(pts), 2, 2), dtype=complex)
-        dd[:, 0, 0] = z[:, 5] + z[:, 6] - 2.0 * c
-        dd[:, 1, 1] = z[:, 7] + z[:, 8] - 2.0 * c
-        dd[:, 0, 1] = dd[:, 1, 0] = (z[:, 9] - z[:, 10] - z[:, 11] + z[:, 12]) / 4.0
-        F += c.real ** 2 + c.imag ** 2
-        grad += (d.conj() * c[:, None]).real
-        hess += (d.conj()[:, :, None] * d[:, None, :]).real \
-            + (c.conj()[:, None, None] * dd).real / (_H2 * _H2)
+        z, d, dd = _zak_jet(g, pts[:, 0], pts[:, 1], trunc)
+        F = F + (z.real ** 2 + z.imag ** 2)
+        grad = grad + (d.conj() * z[:, None]).real
+        hess = hess + (d.conj()[:, :, None] * d[:, None, :] + z.conj()[:, None, None] * dd).real
     return F, grad, hess
 
 
@@ -186,12 +169,12 @@ def _damped_step(grad, hess, lam, radius):
 
 def _polish(windows, starts, radius, trunc):
     """Refine all candidate points at once by damped (Levenberg-Marquardt)
-    Newton steps on F; returns the refined points.
+    Newton steps on F's exact local model; returns the refined points.
 
-    A candidate stops when F < 1e-30 (so exact zeros are never moved), when
-    an accepted step improves F by at most 1e-12 relatively, or when
-    its damping exceeds 1e12.  Every trial point is evaluated on its own
-    stencil, so an accepted step already carries its derivatives.
+    A trial point is accepted where F is no larger (Ft <= F: from an exact
+    minimum, a step returns an equal F); a candidate stops when F < 1e-30
+    (so exact zeros are never moved), when an accepted step improves F by at
+    most 1e-12 relatively, or when its damping exceeds 1e12.
     """
     pts = np.array(starts, dtype=float)
     F, grad, hess = _local_model(windows, pts, trunc)
@@ -203,7 +186,7 @@ def _polish(windows, starts, radius, trunc):
             break
         trial = pts[idx] + _damped_step(grad[idx], hess[idx], lam[idx], radius)
         Ft, grad_t, hess_t = _local_model(windows, trial, trunc)
-        better = Ft < F[idx]
+        better = Ft <= F[idx]
         acc, rej = idx[better], idx[~better]
         converged = (Ft[better] < _ZERO_OBJECTIVE) \
             | (F[acc] - Ft[better] <= _REFINE_TOL * F[acc])
@@ -391,11 +374,12 @@ def frame_bounds(sys, resolution=64, trunc=None):
     :func:`reduce_to_multiwindow`, which leaves a reduced system as it is.
     The objective sum_m |Z g_m|^2 is evaluated on an N x N grid; grid nodes
     that are candidate zeros are polished together by damped Newton steps
-    (Levenberg-Marquardt damping, Hessian J^T J plus the residual curvature)
-    until a step gains at most 1e-12 relatively (the fixed refinement_tol),
-    the objective drops below 1e-30, or the damping runs out.  One batched
-    evaluation snaps them to small-denominator rationals (denominator at most
-    8, within 1e-6) where the objective is no larger and gives each residual.
+    (Levenberg-Marquardt damping, Hessian J^T J plus the residual curvature,
+    exact from the Hermite ladder) until a step gains at most 1e-12
+    relatively (the fixed refinement_tol), the objective drops below 1e-30,
+    or the damping runs out.  One batched evaluation snaps them to
+    small-denominator rationals (denominator at most 8, within 1e-6) where
+    the objective is no larger and gives each residual.
     The verdict is NotFrame only with a certified zero (residual <= 1e-10 at
     such a rational point), LikelyFrame only when the grid minimum clears
     ten times the grid-Lipschitz slack, and Inconclusive otherwise.

@@ -151,10 +151,10 @@ def _chirp_convolve(x, chirp_hat):
 def _pi_phase(m, num, den):
     # m * num / den mod 2, in units of pi, for an integer array m and integers
     # num and den > 0.  num / den is reduced mod 2 exactly, then split into a
-    # head whose products with every m are exact int64s (so is their
-    # remainder) and a tail that carries the rest, so the phase keeps its
-    # last bits however large m * num / den is
-    scale = 2 ** (52 - int(np.abs(m).max()).bit_length())
+    # head of 61 - b bits, b those of max |m|, whose products with every m are
+    # exact int64s below 2**62 (so is their remainder), and a tail that carries
+    # the rest, so the phase keeps its last bits however large m * num / den is
+    scale = 2 ** (61 - int(np.abs(m).max()).bit_length())
     head, rest = divmod(num % (2 * den) * scale, den)
     return np.fmod(m * head, 2 * scale) / scale + m * (rest / (den * scale))
 

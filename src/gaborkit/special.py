@@ -51,9 +51,9 @@ def hermite(n, t):
 
 
 def hermite_stack(n_max, t):
-    """Evaluate h_0 .. h_n_max at the points t, returned as rows of one array."""
+    """Evaluate h_0 .. h_n_max at the points t, as rows of one array shaped like t (>= 1-D)."""
     t = np.atleast_1d(np.asarray(t, dtype=float))
-    out = np.empty((n_max + 1, t.size))
+    out = np.empty((n_max + 1,) + t.shape)
     for k, row in enumerate(_hermite_rows(n_max, t)):
         out[k] = row
     return out

@@ -22,7 +22,7 @@ import numpy as np
 from .errors import UnboundedWindow
 from .operators import (DEFAULT_EXTENT, DEFAULT_STEP, Chirp, Dilation, Op,
                         SampledFunction, TFShift, _quarter_turns, grid_points)
-from .special import hermite, hermite_envelope_constant
+from .special import hermite, hermite_envelope_constant, hermite_stack
 
 
 @dataclass(frozen=True)
@@ -153,6 +153,23 @@ def evaluate(w, t):
     """Window values at the points t, in closed form from the :func:`normal_form`."""
     c, *params = normal_form(w)
     return c * _values(w.n, *params, np.asarray(t, dtype=float))
+
+
+def derivatives(w, t):
+    """g' and g'' of a window g at the points t, stacked, exact from its
+    :func:`normal_form` g = c exp(2 pi i omega t + i pi q u^2) a^(-1/2) h_n(u / a),
+    u = t - x, and the ladder h_n' = sqrt(pi) (sqrt(n) h_(n-1) - sqrt(n + 1) h_(n+1))."""
+    c, x, omega, q, a = normal_form(w)
+    n, t = w.n, np.asarray(t, dtype=float)
+    u = t - x
+    h_2, h_1, h0, h1, h2 = [0.0, 0.0, *hermite_stack(n + 2, u / a)][n:]  # h_(-2) = h_(-1) = 0
+    dh = math.sqrt(math.pi) * (math.sqrt(n) * h_1 - math.sqrt(n + 1) * h1) / a
+    ddh = math.pi * (math.sqrt(n * (n - 1)) * h_2 - (2 * n + 1) * h0
+                     + math.sqrt((n + 1) * (n + 2)) * h2) / (a * a)
+    dphi = 2j * math.pi * (omega + q * u)  # the derivative of the exponent
+    e = c / math.sqrt(a) * np.exp(1j * math.pi * (2.0 * omega * t + q * u * u))
+    return np.stack([e * (dphi * h0 + dh),
+                     e * ((dphi * dphi + 2j * math.pi * q) * h0 + 2.0 * dphi * dh + ddh)])
 
 
 @lru_cache(maxsize=64)

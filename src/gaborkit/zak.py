@@ -20,8 +20,8 @@ import numpy as np
 
 from .errors import UnboundedWindow
 from .operators import Chirp, Dilation, Fourier, TFShift
-from .windows import (Window, descriptor, envelope, evaluate, is_real,
-                      normal_form, parity, shifted, window)
+from .windows import (Window, derivatives, descriptor, envelope, evaluate,
+                      is_real, normal_form, parity, shifted, window)
 
 _TRUNC_TOL = 1e-14
 TRUNC_MIN = 8
@@ -59,11 +59,11 @@ def zak_tail_bound(w, trunc):
     return envelope(w).tail(trunc - 1)
 
 
-def _finite_values(w, t):
-    # window values at t, which must all be finite; the check reports what
-    # over- or underflowed on the way, so numpy's warnings are silenced
+def _finite_values(w, t, values=None):
+    # evaluate(w, t), or values(w, t), which must all be finite; the check reports
+    # what over- or underflowed on the way, so numpy's warnings are silenced
     with np.errstate(all="ignore"):
-        vals = evaluate(w, t)
+        vals = (values or evaluate)(w, t)
     if not np.isfinite(vals).all():
         raise UnboundedWindow("the window has non-finite values on the Zak sum's points")
     return vals
@@ -112,6 +112,13 @@ def _finite_arrays(func, **args):
     return arrays
 
 
+def _sum_terms(w, x, omega, K):
+    # k, k - x and exp(2 pi i omega k) of the Zak sum at (x, omega) (1-D) on the torus
+    center = envelope(w).center
+    ks = _indices(math.floor(float(x.min()) + center) - K, math.ceil(float(x.max()) + center) + K)
+    return ks, ks[None, :] - x[:, None], np.exp(2j * np.pi * omega[:, None] * ks[None, :])
+
+
 def zak_point(w, x, omega, trunc=None):
     """Zak transform of a window at (x, omega); broadcasts over arrays.
 
@@ -126,15 +133,23 @@ def zak_point(w, x, omega, trunc=None):
     x_b, om_b = np.broadcast_arrays(np.atleast_1d(x_arr), np.atleast_1d(om_arr))
     K = _truncation(w, trunc)
     w, m, l, s = on_torus(w)
-    center = envelope(w).center
-    ks = _indices(math.floor(float(x_b.min()) + center) - K,
-                  math.ceil(float(x_b.max()) + center) + K)
-    vals = _finite_values(w, ks[None, :] - x_b.ravel()[:, None])
-    phases = np.exp(2j * np.pi * om_b.ravel()[:, None] * ks[None, :])
+    _, t, phases = _sum_terms(w, x_b.ravel(), om_b.ravel(), K)
+    vals = _finite_values(w, t)
     out = np.sum(vals * phases, axis=1).reshape(x_b.shape)
     if m or l:
         out *= np.exp(2j * np.pi * (s + _turns(om_b, m) - _turns(x_b, l)))
     return complex(out[(0,) * out.ndim]) if scalar else out
+
+
+def _zak_jet(w, x, omega, trunc):
+    """Z w, its gradient (n x 2) and Hessian (n x 2 x 2) at the points (x, omega) (1-D) of a
+    window on the torus, exact: Z_x = -sum g'(k - x) e_k, Z_omega = sum 2 pi i k g(k - x) e_k."""
+    ks, t, e = _sum_terms(w, x, omega, _truncation(w, trunc))
+    g = _finite_values(w, t)  # named, as in zak_point, so that Z keeps its bits
+    ge, (d1e, d2e), ik = g * e, _finite_values(w, t, derivatives) * e, 2j * np.pi * ks
+    z, zx, zo, zxx, zxo, zoo = (v.sum(axis=1) for v in (
+        ge, -d1e, ik * ge, d2e, -ik * d1e, ik * ik * ge))
+    return z, np.stack([zx, zo], axis=1), np.stack([zxx, zxo, zxo, zoo], axis=1).reshape(-1, 2, 2)
 
 
 @dataclass

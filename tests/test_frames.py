@@ -288,16 +288,23 @@ def test_finite_frame_oracle_brackets_grid_bounds():
     assert abs(report.B_est - hi) <= 0.05 * scale
 
 
-def counting_zak_point(monkeypatch):
-    """Count the zak_point calls that frame analysis makes, batched or scalar."""
+def counting_zak_calls(monkeypatch):
+    """Count the Zak evaluations that frame analysis makes: zak_point calls,
+    batched or scalar, and the polish's batched _zak_jet calls."""
     from gaborkit import frames
-    calls = {"batched": 0, "scalar": 0}
+    calls = {"batched": 0, "scalar": 0, "jet": 0}
+    jet = frames._zak_jet
 
     def counted(w, x, omega, trunc=None):
         calls["batched" if np.ndim(x) else "scalar"] += 1
         return zak_point(w, x, omega, trunc)
 
+    def counted_jet(w, x, omega, trunc):
+        calls["jet"] += 1
+        return jet(w, x, omega, trunc)
+
     monkeypatch.setattr(frames, "zak_point", counted)
+    monkeypatch.setattr(frames, "_zak_jet", counted_jet)
     return calls
 
 
@@ -305,10 +312,11 @@ def test_tilted_valley_zeros_found_with_bounded_work(monkeypatch):
     # h_1 after FrFT(0.3) and Chirp(0.64): a window folded into its normal
     # form, whose two non-rational zeros sit in tilted valleys of the objective
     chain = (FrFT(0.3), Chirp(0.64))
-    calls = counting_zak_point(monkeypatch)
+    calls = counting_zak_calls(monkeypatch)
     report = frame_bounds(GaborSystem([window(1, chain)], PRESETS["Z2"]), 64)
     assert report.verdict == "NotFrame"
     assert calls["batched"] <= 101 and calls["batched"] + calls["scalar"] <= 500
+    assert 0 < calls["jet"] <= 12
     # the same function in closed form: undo the chain on the lattice and
     # reduce back to Z^2, which gives a dilated, chirped h_1 up to a phase
     U = project_isomorphism(chain)
@@ -332,12 +340,31 @@ def test_tilted_valley_zeros_found_with_bounded_work(monkeypatch):
 
 def test_denominator_eight_double_oversampling_with_bounded_work(monkeypatch):
     # h_4 over Z^2 u (Z^2 + (3/8, 1/8)): two positive minima, no zero
-    calls = counting_zak_point(monkeypatch)
+    calls = counting_zak_calls(monkeypatch)
     union = point_set(np.eye(2), [(0.0, 0.0), (0.375, 0.125)])
     report = frame_bounds(reduce_to_multiwindow(GaborSystem([window(4)], union)), 256)
     assert calls["batched"] <= 2 * 101 and calls["batched"] + calls["scalar"] <= 150
+    # two windows, one jet call each a local model (the stencil took 28 models)
+    assert 0 < calls["jet"] <= 2 * 12
     assert report.verdict == "Inconclusive" and not report.zeros
     assert abs(report.A_est - 7.956578648398731e-3) <= 1e-12 * report.A_est
+
+
+def test_polish_ends_at_once_on_a_minimum_at_a_grid_node(monkeypatch):
+    # h_0 over Z^2 u (Z^2 + (1/2, 1/2)) at N = 256 has its minimum on a grid
+    # node: the first step from it returns an equal F, which is accepted and
+    # ends the polish (a rejection would raise the damping 15 times)
+    from gaborkit import frames
+    model, points = frames._local_model, []
+
+    def counted(windows, pts, trunc):
+        points.append(len(pts))
+        return model(windows, pts, trunc)
+
+    monkeypatch.setattr(frames, "_local_model", counted)
+    report = frame_bounds(system(0, "Z2-union-half"), 256)
+    assert report.verdict == "LikelyFrame" and not report.zeros
+    assert points[0] > 0 and len(points) <= 3
 
 
 def eight_neighbour_minima(F):
@@ -397,7 +424,7 @@ def test_snap_evaluates_each_point_once(monkeypatch):
     # each costs one residual evaluation and at most three snap candidates
     from gaborkit import frames
     from gaborkit.frames import _torus_dist
-    calls = counting_zak_point(monkeypatch)
+    calls = counting_zak_calls(monkeypatch)
     starts = []
     polish = frames._polish
 
@@ -418,12 +445,13 @@ def test_snap_evaluates_each_point_once(monkeypatch):
 @pytest.mark.parametrize("w", [window(2), window(1, (FrFT(0.8), Chirp(0.7)))],
                          ids=["closed-form", "interpolated"])
 def test_zero_search_makes_only_batched_zak_calls(monkeypatch, w):
-    # the polish, the snap and the residuals all evaluate the objective in batches
-    calls = counting_zak_point(monkeypatch)
+    # the polish (its jets), the snap and the residuals all evaluate the
+    # objective in batches
+    calls = counting_zak_calls(monkeypatch)
     union = reduce_to_multiwindow(GaborSystem([w], PRESETS["Z2-union-half"]))
     frame_bounds(union, 32)
     zeros = find_zak_zeros(w, 32)
-    assert zeros and calls["batched"] > 0 and calls["scalar"] == 0
+    assert zeros and calls["batched"] > 0 and calls["jet"] > 0 and calls["scalar"] == 0
 
 
 @pytest.mark.parametrize("search", [

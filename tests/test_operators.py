@@ -171,9 +171,8 @@ def test_dilation_kernel_phases_match_mpmath(a):
 ])
 def test_frft_kernel_phases_match_mpmath(r, refine, bound):
     # the reduced phases of the cached quadrature factors, against the exact
-    # phases of the float inputs at 40 digits.  On the grid refined 4x, j^2
-    # reaches 2**28 and the tail of _pi_phase reaches 16, whose rounding
-    # the bound allows
+    # phases of the float inputs at 40 digits, every 97th factor (every factor
+    # of the refined kernel: test_refined_frft_kernel_phases_hold_the_unrefined_bound)
     n, step, extent = 3072 * refine, 1.0 / 128.0 / refine, 12.0
     pre, chirp_hat, post = operators._frft_kernel(r, n, step, extent, refine)
     chirp = np.fft.ifft(chirp_hat)[:2 * n - 1]
@@ -216,17 +215,40 @@ def test_frft_of_shifted_and_chirped_hermite_matches_closed_form(r, bound):
     (-(5 ** 40), 2 ** 90 * 7),
 ])
 def test_pi_phase_is_the_float_fmod_reduction(num, den):
-    # the int64 remainder of the head gives the bits of its float fmod; a
-    # zero may differ in sign, which exp(i pi theta) does not see
+    # m num / den mod 2, against exact fractions: the int64 remainder of the
+    # head and the tail are each rounded once, and their float sum once more,
+    # so theta is within 2**-51 of the exact phase.  The squares reach 2**28,
+    # as j**2 does on the FrFT grid refined 4x
     for m in (np.arange(-50, 50), np.array([-(2 ** 26) + 3, -12345, -1, 0, 2 ** 26 - 1]),
-              np.arange(-3072, 3072) ** 2 * np.array([1, -1] * 3072)):
-        scale = 2 ** (52 - int(np.abs(m).max()).bit_length())
-        head, rest = divmod(num % (2 * den) * scale, den)
-        mf = m.astype(float)
-        expected = np.fmod(mf * (head / scale), 2.0) + mf * (rest / (den * scale))
+              np.arange(-3072, 3072) ** 2 * np.array([1, -1] * 3072),
+              np.arange(-12288, 12288, 7) ** 2):
         theta = operators._pi_phase(m, num, den)
-        assert np.array_equal(theta, expected)
-        assert np.exp(1j * np.pi * theta).tobytes() == np.exp(1j * np.pi * expected).tobytes()
+        for mi, th in zip(m.tolist(), theta.tolist()):
+            diff = (Fraction(th) - Fraction(mi * num, den)) % 2
+            assert min(diff, 2 - diff) <= 2.0 ** -51, (mi, th)
+
+
+def test_refined_frft_kernel_phases_hold_the_unrefined_bound():
+    # every factor of the 4x refined quadrature at r = 0.05, where j**2
+    # reaches 2**28, within the 4e-15 of the unrefined kernels: the head of
+    # _pi_phase keeps 61 - b bits, so its tail is too small to round away
+    r, refine = 0.05, 4
+    n, step, extent = 3072 * refine, 1.0 / 128.0 / refine, 12.0
+    pre, _, post = operators._frft_kernel(r, n, step, extent, refine)
+    d = Fraction(math.cos(r) / math.sin(r)) - Fraction(1.0 / math.sin(r))
+    h, e = Fraction(step), Fraction(extent)
+    amp = complex(np.sqrt(1.0 - 1j * math.cos(r) / math.sin(r))) * step
+    with mp.workdps(40):
+        def expi_pi(theta):
+            theta %= 2  # exact, then rounded to 40 digits
+            return complex(mp.expjpi(mp.mpf(theta.numerator) / theta.denominator))
+
+        worst_pre = max(abs(pre[j] - expi_pi(d * h * h * j * j - 2 * d * e * h * j))
+                        for j in range(n))
+        worst_post = max(abs(post[i] / amp - expi_pi(
+            2 * d * e * e + d * h * h * (i * refine) ** 2 - 2 * d * e * h * i * refine))
+            for i in range(n // refine))
+    assert max(worst_pre, worst_post) <= 4e-15
 
 
 @pytest.mark.parametrize("a", [1e-300, 5e-324, 1e-12, 1e12, 1e300])

@@ -10,12 +10,12 @@ from gaborkit.errors import UnboundedWindow
 from gaborkit.frames import (GaborSystem, finite_frame_spectrum, frame_bounds,
                              reduce_to_multiwindow)
 from gaborkit.lattices import PRESETS
-from gaborkit.operators import Chirp, Dilation, FrFT, TFShift
+from gaborkit.operators import Chirp, Dilation, Fourier, FrFT, TFShift
 from gaborkit.special import theta3
-from gaborkit.windows import envelope, evaluate, window
-from gaborkit.zak import (ZakSurface, auto_truncation, verify_identities,
-                          write_surface_csv, zak_point, zak_scaled,
-                          zak_surface, zak_tail_bound)
+from gaborkit.windows import envelope, evaluate, normal_form, window
+from gaborkit.zak import (ZakSurface, _zak_jet, auto_truncation, on_torus,
+                          verify_identities, write_surface_csv, zak_point,
+                          zak_scaled, zak_surface, zak_tail_bound)
 
 SQRT2 = math.sqrt(2.0)
 
@@ -419,3 +419,56 @@ def test_surface_tiles_cover_the_grid(N, heights):
     i = np.array([0, 80, 81, N // 2, N - 34, N - 33, N - 1])
     j = (7 * i + 3) % N
     assert np.max(np.abs(values[i, j] - zak_point(w, i / N, j / N))) <= 1e-12
+
+
+def mp_zak(n, nf):
+    """Z of c pi(x0, omega0) Chirp(q) Dilation(a) h_n, written out at mpmath
+    precision from the physicists' Hermite polynomials:
+    h_n(s) = 2^(1/4) (2^n n!)^(-1/2) H_n(sqrt(2 pi) s) exp(-pi s^2)."""
+    import mpmath as mp
+    c, x0, om0, q, a = (mp.mpc(nf.phase), *map(mp.mpf, nf[1:]))
+    norm = c * mp.mpf(2) ** 0.25 / mp.sqrt(mp.mpf(2) ** n * mp.factorial(n) * a)
+    root = mp.sqrt(2 * mp.pi)
+
+    def term(k, x, om):
+        t = k - x
+        u = t - x0
+        s = u / a
+        H_prev, H = 0, 1
+        for j in range(n):
+            H_prev, H = H, 2 * root * s * H - 2 * j * H_prev
+        return H * mp.exp(-mp.pi * s * s + 1j * mp.pi * (2 * om0 * t + q * u * u + 2 * om * k))
+    # |k - x - x0| >= 9 for every term left out, which is below 1e-50
+    return lambda x, om: norm * mp.fsum(term(k, x, om) for k in range(-10, 11))
+
+
+JET_CHAINS = [(Dilation(1.3),), (Chirp(0.6),), (FrFT(0.7), Dilation(0.8)),
+              (Fourier(), TFShift(0.3, -0.2)), (TFShift(0.3, -0.2),),
+              (FrFT(0.4), Chirp(0.5), TFShift(-0.25, 0.35)),
+              (Chirp(-0.3), FrFT(1.1), Dilation(1.2), TFShift(0.2, 0.4)),
+              (Fourier(), Chirp(0.4), TFShift(0.1, 0.2), FrFT(0.3), Dilation(1.1))]
+
+
+@pytest.mark.parametrize("n", range(8))
+def test_zak_jet_matches_mpmath_derivatives(n):
+    # Z, Z_x, Z_omega, Z_xx, Z_xomega and Z_omegaomega of h_n under two of the
+    # chains (each chain twice over the orders), at a random point and 1e-5
+    # from a parity zero, against mpmath.diff of the Zak sum of the normal
+    # form at 40 digits
+    import mpmath as mp
+    rng = np.random.default_rng(n)
+    for chain in (JET_CHAINS[n % 8], JET_CHAINS[(n + 3) % 8]):
+        w = on_torus(window(n, chain))[0]
+        nf = normal_form(w)
+        # Z pi(x0, omega0) f (x, omega) is a phase times Z f (x + x0, omega + omega0)
+        zero = (0.5, 0.5) if n % 2 == 0 else (0.0, 0.5)
+        pts = np.array([rng.random(2), (zero[0] - nf.x + 1e-5, zero[1] - nf.omega - 1e-5)])
+        z, d, dd = _zak_jet(w, pts[:, 0], pts[:, 1], None)
+        jet = np.column_stack([z, d[:, 0], d[:, 1], dd[:, 0, 0], dd[:, 0, 1], dd[:, 1, 1]])
+        with mp.workdps(40):
+            Z = mp_zak(n, nf)
+            exact = np.array([[complex(mp.diff(Z, (mp.mpf(x), mp.mpf(om)), order))
+                               for order in ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2))]
+                              for x, om in pts.tolist()])
+        assert abs(exact[1, 0]) <= 1e-3  # next to the zero
+        assert np.max(np.abs(jet - exact)) <= 1e-13 * np.max(np.abs(exact))

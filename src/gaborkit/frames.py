@@ -7,9 +7,10 @@ fundamental domain.  The grid stage holds no N x N array: each tile of whole
 rows of the objective F (2^14 values while N <= 2^14) is summed from the
 windows' Zak tiles, and once the next tile exists it is padded with a
 one-row torus halo and read for the slacks of F and of its square root and
-the 3 x 3 minima; tile 0 is read last.  Its memory is a ring of five F
-tiles, one complex tile per window, a few work tiles and the Zak sums' O(N)
-factors, and it accepts N up to 2^16.
+the 3 x 3 minima, whose least is the grid minimum (F's global minimum is
+one); tile 0 is read last.  Its memory is a ring of five F tiles, one
+complex tile per window, a few work tiles and the Zak sums' O(N) factors,
+and it accepts N up to 2^16.
 Candidate grid minima are refined by damped Newton steps on batched Zak values
 and exact derivatives (Hermite ladder), to a relative gain of 1e-12; one
 batched evaluation then snaps each coordinate to a rational of denominator at
@@ -294,7 +295,8 @@ def _grid_candidates(windows, N, trunc):
     """The grid stage of the zero search: extrema and slacks of the objective
     F = sum_m |Z g_m|^2 on the N x N grid, and the candidate nodes.  No N x N
     array is made: each row tile of F is read once the next one exists, with
-    a one-row torus halo, and tile 0 last, below the last tile's final row."""
+    a one-row torus halo, and tile 0 last, below the last tile's final row.
+    A_grid is the least 3 x 3 minimum read, as F's global minimum is one."""
     rows = _tile_rows(N)
     # every work array is a view of one block, allocated once per call: once
     # freed, a block this large raises glibc's mmap threshold, so later calls
@@ -304,7 +306,7 @@ def _grid_candidates(windows, N, trunc):
         (5, rows, N), (rows, N), (rows, N), (rows, N), (rows, N + 2), (rows + 2, N + 2),
         *[(rows, 2 * N)] * len(windows))
     mask = np.empty((rows, N), bool)
-    extrema, reads = [], []
+    reads, B_grid = [], -math.inf
 
     def read(k, top, F, bottom):
         # 3 x 3 minima of tile k with their values, and the slacks of F and,
@@ -319,7 +321,7 @@ def _grid_candidates(windows, N, trunc):
     second = None
     for k, F in enumerate(_objective_tiles(windows, N, trunc, ring, sq,
                                            [z.view(complex) for z in zt])):
-        extrema.append((float(F.min()), float(F.max())))
+        B_grid = max(B_grid, float(F.max()))
         if k == 0:
             first = F
         else:
@@ -334,14 +336,13 @@ def _grid_candidates(windows, N, trunc):
     read(0, prev[-1], first, first[0] if second is None else second[0])
     reads.insert(0, reads.pop())  # row-major order
     slacks, amp_slacks, idx, vals = zip(*reads)
-    A_grid, B_grid = min(lo for lo, _ in extrema), max(hi for _, hi in extrema)
-    slack, amp_slack = max(slacks), max(amp_slacks)
+    idx, vals = np.concatenate(idx), np.concatenate(vals)
+    A_grid, slack, amp_slack = float(vals.min()), max(slacks), max(amp_slacks)
     # candidate nodes: local minima low enough to hide a zero of the
     # amplitude within one grid cell (the global minimum always qualifies)
     threshold = max(3.0 * A_grid, (4.0 * amp_slack) ** 2, 1e-24)
-    idx = np.concatenate(idx)
     # the row-major (i, j) of each candidate, as np.argwhere gives them
-    cand = np.stack(np.divmod(idx[np.concatenate(vals) <= threshold], N), axis=1)
+    cand = np.stack(np.divmod(idx[vals <= threshold], N), axis=1)
     return A_grid, B_grid, slack, amp_slack, cand
 
 

@@ -128,20 +128,14 @@ def normal_form(w):
     return NormalForm(w.phase * c, x, omega, tau.real, a)
 
 
-def _hermite(n, t):
-    h = hermite(n, t)
-    return h.astype(complex) if np.ndim(h) else complex(h)
-
-
-def _values(n, x, omega, q, a, t):
-    # exp(2 pi i omega t) exp(i pi q u^2) a^(-1/2) h_n(u / a), u = t - x,
-    # each factor skipped where it is 1.  Each product and quotient, the
-    # caller's phase product included, has an unnamed temporary operand,
-    # which numpy reuses as the output of a large array; its complex
-    # multiply rounds differently in place than into a new array, so naming
-    # an intermediate would move the last bits of every value
-    u = t - x if x or omega else t
-    vals = _hermite(n, u / a) / math.sqrt(a) if a != 1.0 else _hermite(n, u)
+def _values(h, u, x, omega, q, a, t):
+    # exp(2 pi i omega t) exp(i pi q u^2) a^(-1/2) h, u = t - x and h the Hermite row
+    # h_n(u / a), each factor skipped where it is 1.  numpy writes a product of large
+    # arrays into an unnamed temporary operand, swapped if only the right one is such,
+    # and complex products round differently swapped: keep their order and names
+    vals = h.astype(complex) if np.ndim(h) else complex(h)
+    if a != 1.0:
+        vals /= math.sqrt(a)  # in place: no second array
     if q:
         vals = np.exp(1j * math.pi * q * np.square(u)) * vals
     if x or omega:
@@ -151,24 +145,28 @@ def _values(n, x, omega, q, a, t):
 
 def evaluate(w, t):
     """Window values at the points t, in closed form from the :func:`normal_form`."""
-    c, *params = normal_form(w)
-    return c * _values(w.n, *params, np.asarray(t, dtype=float))
+    c, x, omega, q, a = normal_form(w)
+    t = np.asarray(t, dtype=float)
+    u = t - x if x or omega else t
+    return c * _values(hermite(w.n, u / a if a != 1.0 else u), u, x, omega, q, a, t)
 
 
 def derivatives(w, t):
-    """g' and g'' of a window g at the points t, stacked, exact from its
+    """g, g' and g'' of a window g at the points t, stacked, exact from its
     :func:`normal_form` g = c exp(2 pi i omega t + i pi q u^2) a^(-1/2) h_n(u / a),
-    u = t - x, and the ladder h_n' = sqrt(pi) (sqrt(n) h_(n-1) - sqrt(n + 1) h_(n+1))."""
+    u = t - x, and the ladder h_n' = sqrt(pi) (sqrt(n) h_(n-1) - sqrt(n + 1) h_(n+1)),
+    from one Hermite recurrence to order n + 2; g has :func:`evaluate`'s bits."""
     c, x, omega, q, a = normal_form(w)
     n, t = w.n, np.asarray(t, dtype=float)
     u = t - x
     h_2, h_1, h0, h1, h2 = [0.0, 0.0, *hermite_stack(n + 2, u / a)][n:]  # h_(-2) = h_(-1) = 0
+    g = c * _values(h0, u, x, omega, q, a, t)
     dh = math.sqrt(math.pi) * (math.sqrt(n) * h_1 - math.sqrt(n + 1) * h1) / a
     ddh = math.pi * (math.sqrt(n * (n - 1)) * h_2 - (2 * n + 1) * h0
                      + math.sqrt((n + 1) * (n + 2)) * h2) / (a * a)
     dphi = 2j * math.pi * (omega + q * u)  # the derivative of the exponent
     e = c / math.sqrt(a) * np.exp(1j * math.pi * (2.0 * omega * t + q * u * u))
-    return np.stack([e * (dphi * h0 + dh),
+    return np.stack([g, e * (dphi * h0 + dh),
                      e * ((dphi * dphi + 2j * math.pi * q) * h0 + 2.0 * dphi * dh + ddh)])
 
 

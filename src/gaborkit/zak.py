@@ -112,11 +112,13 @@ def _finite_arrays(func, **args):
     return arrays
 
 
-def _sum_terms(w, x, omega, K):
-    # k, k - x and exp(2 pi i omega k) of the Zak sum at (x, omega) (1-D) on the torus
+def _sum_terms(w, x, omega, K, values=None):
+    # k and the terms values(w, k - x) exp(2 pi i omega k) of the Zak sum at (x, omega) (1-D) on
+    # the torus, values (evaluate by default) checked finite; phases named to keep operand order
     center = envelope(w).center
     ks = _indices(math.floor(float(x.min()) + center) - K, math.ceil(float(x.max()) + center) + K)
-    return ks, ks[None, :] - x[:, None], np.exp(2j * np.pi * omega[:, None] * ks[None, :])
+    phases = np.exp(2j * np.pi * omega[:, None] * ks[None, :])
+    return ks, _finite_values(w, ks[None, :] - x[:, None], values) * phases
 
 
 def zak_point(w, x, omega, trunc=None):
@@ -133,9 +135,8 @@ def zak_point(w, x, omega, trunc=None):
     x_b, om_b = np.broadcast_arrays(np.atleast_1d(x_arr), np.atleast_1d(om_arr))
     K = _truncation(w, trunc)
     w, m, l, s = on_torus(w)
-    _, t, phases = _sum_terms(w, x_b.ravel(), om_b.ravel(), K)
-    vals = _finite_values(w, t)
-    out = np.sum(vals * phases, axis=1).reshape(x_b.shape)
+    _, terms = _sum_terms(w, x_b.ravel(), om_b.ravel(), K)
+    out = np.sum(terms, axis=1).reshape(x_b.shape)
     if m or l:
         out *= np.exp(2j * np.pi * (s + _turns(om_b, m) - _turns(x_b, l)))
     return complex(out[(0,) * out.ndim]) if scalar else out
@@ -143,10 +144,10 @@ def zak_point(w, x, omega, trunc=None):
 
 def _zak_jet(w, x, omega, trunc):
     """Z w, its gradient (n x 2) and Hessian (n x 2 x 2) at the points (x, omega) (1-D) of a
-    window on the torus, exact: Z_x = -sum g'(k - x) e_k, Z_omega = sum 2 pi i k g(k - x) e_k."""
-    ks, t, e = _sum_terms(w, x, omega, _truncation(w, trunc))
-    g = _finite_values(w, t)  # named, as in zak_point, so that Z keeps its bits
-    ge, (d1e, d2e), ik = g * e, _finite_values(w, t, derivatives) * e, 2j * np.pi * ks
+    window on the torus, exact: Z_x = -sum g'(k - x) e_k, Z_omega = sum 2 pi i k g(k - x) e_k,
+    all from one checked :func:`derivatives` stack (g, g', g''); Z has zak_point's bits."""
+    ks, (ge, d1e, d2e) = _sum_terms(w, x, omega, _truncation(w, trunc), derivatives)
+    ik = 2j * np.pi * ks
     z, zx, zo, zxx, zxo, zoo = (v.sum(axis=1) for v in (
         ge, -d1e, ik * ge, d2e, -ik * d1e, ik * ik * ge))
     return z, np.stack([zx, zo], axis=1), np.stack([zxx, zxo, zxo, zoo], axis=1).reshape(-1, 2, 2)

@@ -633,3 +633,53 @@ def test_grid_too_large_to_allocate_exit_code(tmp_path, capsys, monkeypatch, com
     assert run([command, "--n", "100000000", "--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith("configuration error: ")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_fourier_window_of_h1_is_not_a_frame_over_z2(tmp_path, capsys, source):
+    # F h_1 = -i h_1: the Fourier link becomes the phase -i, and the odd
+    # window keeps its parity zeros at (0, 0), (1/2, 0) and (0, 1/2); a
+    # config file sets the store_true flag with a JSON boolean
+    conf = tmp_path / "job.json"
+    conf.write_text(json.dumps({"fourier": True, "hermite": 1}))
+
+    def job(*argv):
+        if source == "flag":
+            return run([*argv, "--hermite", "1", "--fourier"])
+        return run(["--config", str(conf), *argv])
+
+    report, zeros = tmp_path / "report.json", tmp_path / "zeros.json"
+    assert job("frame-bounds", "--set", "Z2", "--n", "32", "--out", str(report)) == 0
+    assert capsys.readouterr().out == "NotFrame\n"
+    found = {(z["x"], z["omega"]) for z in json.loads(report.read_text())["zeros"]}
+    assert found == {(0.0, 0.0), (0.5, 0.0), (0.0, 0.5)}
+    assert job("find-zeros", "--n", "32", "--out", str(zeros)) == 0
+    assert json.loads(zeros.read_text())["window"] == {
+        "hermite": 1, "chain": [], "phase": [0.0, -1.0]}
+
+
+def test_generator_of_three_entries_exit_code(capsys):
+    assert run(["frame-bounds", "--generator", "1,0,1"]) == 2
+    assert "--generator takes 4 comma-separated entries" in capsys.readouterr().err
+
+
+def test_config_file_that_is_not_an_object_exit_code(tmp_path, capsys):
+    conf = tmp_path / "job.json"
+    conf.write_text("[1, 2]")
+    assert run(["--config", str(conf), "frame-bounds"]) == 2
+    assert "config file must hold a JSON object" in capsys.readouterr().err
+
+
+def test_frame_report_without_out_is_strict_json_on_stdout(tmp_path, capsys):
+    # the report, then the verdict line; the same bytes as the --out file
+    def refuse(name):
+        raise ValueError(f"stdout holds {name}")
+
+    argv = ["frame-bounds", "--hermite", "1", "--set", "Z2", "--n", "32"]
+    assert run(argv) == 0
+    *report, verdict, end = capsys.readouterr().out.split("\n")
+    assert (verdict, end) == ("NotFrame", "")
+    text = "\n".join(report) + "\n"
+    assert json.loads(text, parse_constant=refuse)["verdict"] == "NotFrame"
+    assert run([*argv, "--out", str(tmp_path / "report.json")]) == 0
+    assert (tmp_path / "report.json").read_text() == text

@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from gaborkit import windows
+from gaborkit import windows, zak
 from gaborkit.errors import UnboundedWindow
 from gaborkit.frames import (GaborSystem, finite_frame_spectrum, frame_bounds,
                              reduce_to_multiwindow)
@@ -472,3 +472,48 @@ def test_zak_jet_matches_mpmath_derivatives(n):
                               for x, om in pts.tolist()])
         assert abs(exact[1, 0]) <= 1e-3  # next to the zero
         assert np.max(np.abs(jet - exact)) <= 1e-13 * np.max(np.abs(exact))
+
+
+@pytest.mark.parametrize("n", range(8))
+def test_derivatives_stack_starts_with_evaluate_bit_for_bit(n):
+    # g of the jet stack is the window's value with evaluate's bits, under the
+    # bare base and every jet chain; at 2**15 points numpy writes products
+    # into unnamed temporary operands (from 256 kB on), where order matters
+    rng = np.random.default_rng(n)
+    for chain in [(), *JET_CHAINS]:
+        w = window(n, chain)
+        for t in (rng.uniform(-4.0, 4.0, (3, 7)), rng.uniform(-6.0, 6.0, (2 ** 10, 33))):
+            g = windows.derivatives(w, t)
+            assert g.shape == (3, *t.shape)
+            assert np.array_equal(g[0], evaluate(w, t))
+
+
+@pytest.mark.parametrize("n", range(8))
+def test_zak_jet_value_is_zak_point_bit_for_bit(n):
+    # Z of the jet keeps zak_point's bits on windows on the torus, also where
+    # its terms (2**11 points of about 20 integers each) are large arrays
+    rng = np.random.default_rng(n)
+    for chain in [(), *JET_CHAINS]:
+        w = on_torus(window(n, chain))[0]
+        for size in (3, 2 ** 11):
+            x, omega = rng.random((2, size))
+            assert np.array_equal(_zak_jet(w, x, omega, None)[0], zak_point(w, x, omega))
+
+
+def test_zak_jet_evaluates_the_window_once(monkeypatch):
+    # the value and both derivatives come from one normal-form read, one
+    # Hermite recurrence to order n + 2 and one finiteness check
+    calls = []
+    for module, name in ((windows, "normal_form"), (windows, "hermite"),
+                         (windows, "hermite_stack"), (zak, "_finite_values")):
+        def counted(*args, _f=getattr(module, name), _name=name):
+            calls.append((_name, args[0] if _name == "hermite_stack" else None))
+            return _f(*args)
+        monkeypatch.setattr(module, name, counted)
+    w = on_torus(window(4, JET_CHAINS[5]))[0]
+    x, omega = np.array([0.1, 0.6]), np.array([0.3, 0.8])
+    _zak_jet(w, x, omega, None)  # fills the envelope and truncation caches
+    calls.clear()
+    _zak_jet(w, x, omega, None)
+    assert sorted(calls) == [("_finite_values", None), ("hermite_stack", 6),
+                             ("normal_form", None)]

@@ -12,13 +12,14 @@ series; frft, the closed-form eigenvalues exp(-i n r) h_n (and its own
 semigroup law); intertwine, the closed form of U pi(z) h_n, phase included,
 for each sampled operator U.
 
-Exit codes: 0 success, 2 configuration error, 3 numerical failure,
-4 irreducible point set, 5 identity-suite failure.
+Exit codes: 0 success, 1 standard output closed early, 2 configuration
+error, 3 numerical failure, 4 irreducible point set, 5 identity-suite failure.
 """
 
 import argparse
 import json
 import math
+import os
 import re
 import sys
 
@@ -75,6 +76,9 @@ def _window_from_args(args):
 
 
 def _set_from_args(args):
+    if getattr(args, "shifts", None) is not None and not getattr(args, "generator", None):
+        raise ValueError("--shifts needs --generator: coset shifts belong to an explicit "
+                         "generator (--extra-shift unions a preset with a shifted copy)")
     if getattr(args, "generator", None):
         entries = [float(v) for v in args.generator.split(",")]
         if len(entries) != 4:
@@ -374,7 +378,15 @@ def main(argv=None):
     try:
         if args.config:
             args = _merge_config(parser, args, argv)
-        return args.handler(args)
+        code = args.handler(args)
+        sys.stdout.flush()  # a buffered stdout meets a closed reader here too
+        return code
+    except BrokenPipeError:
+        # the reader is gone: stdout goes to the null device from here on,
+        # so the flush at interpreter exit has nowhere to fail
+        with open(os.devnull, "wb") as null:
+            os.dup2(null.fileno(), sys.stdout.fileno())
+        return 1
     except IrreducibleSet as exc:
         print(f"irreducible point set: {exc}", file=sys.stderr)
         return 4

@@ -5,12 +5,11 @@ a multi-window system over the integer lattice; the frame bounds are then
 the extrema of the multi-window Zak objective sum_m |Z g_m|^2 on the
 fundamental domain.  The grid stage holds no N x N array: each tile of whole
 rows of the objective F (2^14 values while N <= 2^14) is summed from the
-windows' Zak tiles, and once the next tile exists it is padded with a
-one-row torus halo and read for the slacks of F and of its square root and
-the 3 x 3 minima, whose least is the grid minimum (F's global minimum is
-one); tile 0 is read last.  Its memory is a ring of five F tiles, one
-complex tile per window, a few work tiles and the Zak sums' O(N) factors,
-and it accepts N up to 2^16.
+windows' Zak tiles and, in one forward pass, each row of F is read once the
+row below it exists for the slacks of F and of its square root and the 3 x 3
+minima, whose least is the grid minimum (F's global minimum is one); rows
+N - 1 and 0 are read last.  Its memory is one F tile, one complex tile per
+window, a few work tiles and the Zak sums' O(N) factors; N is at most 2^16.
 Candidate grid minima are refined by damped Newton steps on batched Zak values
 and exact derivatives (Hermite ladder), to a relative gain of 1e-12; one
 batched evaluation then snaps each coordinate to a rational of denominator at
@@ -230,17 +229,6 @@ def _snap(windows, pts, trunc):
             in zip(V[rows, pick].tolist(), F[rows, pick].tolist())]
 
 
-def _halo(top, rows, bottom, out=None):
-    """The padded tile of F's rows i0 .. i1 - 1 (rows) with one torus halo row
-    and column on each side: top and bottom are F's rows i0 - 1 and i1 mod N;
-    written into the first len(rows) + 2 rows of out when given."""
-    n, N = rows.shape
-    P = np.empty((n + 2, N + 2)) if out is None else out[:n + 2]
-    P[0, 1:-1], P[1:-1, 1:-1], P[-1, 1:-1] = top, rows, bottom
-    P[:, 0], P[:, -1] = P[:, -2], P[:, 1]
-    return P
-
-
 def _local_minima_mask(P, m=None, low=None, out=None):
     """Inner nodes of a padded tile P at or below their 3 x 3 neighbourhood;
     m (with P's columns), low and out (inner nodes) are optional work arrays."""
@@ -275,65 +263,59 @@ def _views(*shapes):
             for shape, size, end in zip(shapes, sizes, accumulate(sizes))]
 
 
-def _objective_tiles(windows, N, trunc, ring, sq, ztiles):
-    """F = sum_m |Z g_m|^2 on the N x N grid in tiles of whole rows, made a
-    tile per step and summed in window order, window m's Zak tile written
-    into ztiles[m] and its square into sq.  Tile k is written into ring[k]
-    while k < 2 and into ring[2], ring[3] and ring[4] in turn after that, so
-    tiles 0 and 1 and the last three made are held."""
-    zs = [_surface_tiles(g, N, trunc, z) for g, z in zip(windows, ztiles)]
-    for k, ((_, z), *rest) in enumerate(zip(*zs)):
-        F = np.abs(z, out=ring[k if k < 2 else 2 + (k - 2) % 3, :len(z)])
-        np.multiply(F, F, out=F)
-        for _, z in rest:
-            s = np.abs(z, out=sq[:len(z)])
-            F += np.multiply(s, s, out=s)
-        yield F
-
-
 def _grid_candidates(windows, N, trunc):
     """The grid stage of the zero search: extrema and slacks of the objective
     F = sum_m |Z g_m|^2 on the N x N grid, and the candidate nodes.  No N x N
-    array is made: each row tile of F is read once the next one exists, with
-    a one-row torus halo, and tile 0 last, below the last tile's final row.
-    A_grid is the least 3 x 3 minimum read, as F's global minimum is one."""
+    array is made: F is read in one forward pass over its row tiles, each row
+    once the row below it exists, and rows N - 1 and 0 last, above rows 0 and
+    1 kept from the start.  A_grid is the least 3 x 3 minimum read, as F's
+    global minimum is one."""
     rows = _tile_rows(N)
     # every work array is a view of one block, allocated once per call: once
     # freed, a block this large raises glibc's mmap threshold, so later calls
     # take it from the heap; tiles of about 128 kB allocated one by one were
     # mapped and page-faulted anew on every call
-    ring, sq, d, low, m, P, *zt = _views(
-        (5, rows, N), (rows, N), (rows, N), (rows, N), (rows, N + 2), (rows + 2, N + 2),
-        *[(rows, 2 * N)] * len(windows))
+    T, sq, d, low, m, P, carry, head, *zt = _views(
+        (rows, N), (rows, N), (rows, N), (rows, N), (rows, N + 2), (rows + 2, N + 2),
+        (2, N + 2), (2, N), *[(rows, 2 * N)] * len(windows))
     mask = np.empty((rows, N), bool)
-    reads, B_grid = [], -math.inf
+    reads, B_grid, c = [], -math.inf, 0
 
-    def read(k, top, F, bottom):
-        # 3 x 3 minima of tile k with their values, and the slacks of F and,
-        # with the halo tile's square root taken in place, of sqrt(F)
-        n = len(F)
-        H = _halo(top, F, bottom, P)
-        idx = np.flatnonzero(_local_minima_mask(H, m[:n], low[:n], mask[:n]))
-        slack = _grid_slack(H, d[:n])
-        reads.append((slack, _grid_slack(np.sqrt(H, out=H), d[:n]),
-                      k * rows * N + idx, F.reshape(-1)[idx]))
+    def read(i0, F):
+        # F's rows i0 .. go into P under the c rows carried from before, with
+        # a torus halo column on each side, and P's last two rows are carried
+        # on; P's inner rows, F's rows first .., are read: 3 x 3 minima with
+        # their values, and the slacks of F and, in place, of sqrt(F)
+        nonlocal c
+        n, first = c + len(F), i0 - c + 1
+        H = P[:n]
+        H[:c] = carry[:c]
+        H[c:, 1:-1] = F
+        H[c:, 0], H[c:, -1] = H[c:, -2], H[c:, 1]
+        c = min(n, 2)
+        carry[:c] = H[n - c:]
+        k = n - 2
+        if k > 0:
+            at = _local_minima_mask(H, m[:k], low[:k], mask[:k])
+            idx, vals = np.flatnonzero(at), H[1:-1, 1:-1][at]
+            slack = _grid_slack(H, d[:k])
+            reads.append((slack, _grid_slack(np.sqrt(H, out=H), d[:k]),
+                          first * N + idx, vals))
 
-    second = None
-    for k, F in enumerate(_objective_tiles(windows, N, trunc, ring, sq,
-                                           [z.view(complex) for z in zt])):
+    zs = [_surface_tiles(g, N, trunc, z.view(complex)) for g, z in zip(windows, zt)]
+    for (i0, z), *rest in zip(*zs):
+        # F's row tile, summed in window order
+        F = np.abs(z, out=T[:len(z)])
+        np.multiply(F, F, out=F)
+        for _, z in rest:
+            s = np.abs(z, out=sq[:len(z)])
+            F += np.multiply(s, s, out=s)
         B_grid = max(B_grid, float(F.max()))
-        if k == 0:
-            first = F
-        else:
-            if k == 1:
-                second = F
-            else:  # tile k - 1, between its neighbours
-                read(k - 1, top, prev, F[0])
-            top = prev[-1]
-        prev = F
-    if second is not None:  # the last tile, above tile 0
-        read(k, top, prev, first[0])
-    read(0, prev[-1], first, first[0] if second is None else second[0])
+        if i0 < 2:
+            head[i0:i0 + len(F)] = F[:2 - i0]
+        read(i0, F)
+    read(N, head[:1])  # row 0 as row N: reads row N - 1
+    read(1, head[1:])  # row 1: reads row 0
     reads.insert(0, reads.pop())  # row-major order
     slacks, amp_slacks, idx, vals = zip(*reads)
     idx, vals = np.concatenate(idx), np.concatenate(vals)

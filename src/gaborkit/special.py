@@ -102,7 +102,8 @@ def theta3(alpha):
 
     Both series are truncated at |k| <= K, with K >= 6 the smallest integer
     for which the dropped tail, dominated by the geometric envelope
-    exp(-pi alpha K) per step, stays below 1e-16 of the partial sum.
+    exp(-pi alpha K) per step, stays below 1e-16 of the partial sum.  K <= 256
+    certifies alpha from about 1.8843e-4 on; a smaller alpha raises ValueError.
 
     Parameters
     ----------
@@ -116,13 +117,14 @@ def theta3(alpha):
     if not alpha > 0:
         raise ValueError(f"theta3 requires alpha > 0, got {alpha!r}")
     alpha = float(alpha)
-    K = _THETA_K_MIN
-    while K < _THETA_K_MAX:
+    for K in range(_THETA_K_MIN, _THETA_K_MAX + 1):
         partial = 1.0 + 2.0 * math.fsum(
             math.exp(-math.pi * alpha * k * k) for k in range(1, K + 1))
         if math.exp(-math.pi * alpha * K * K) * (2 * K + 2) < _THETA_TAIL * partial:
             break
-        K += 1
+    else:
+        raise ValueError(f"theta3 certifies no sum for alpha = {alpha!r}: "
+                         f"{_THETA_K_MAX} terms leave a tail above {_THETA_TAIL:g} of it")
     k = np.arange(1, K + 1, dtype=float)
     terms = np.exp(-math.pi * alpha * k * k)
     value = 1.0 + 2.0 * float(np.sum(terms))

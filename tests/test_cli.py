@@ -683,3 +683,42 @@ def test_frame_report_without_out_is_strict_json_on_stdout(tmp_path, capsys):
     assert json.loads(text, parse_constant=refuse)["verdict"] == "NotFrame"
     assert run([*argv, "--out", str(tmp_path / "report.json")]) == 0
     assert (tmp_path / "report.json").read_text() == text
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_shifts_without_generator_exit_code(tmp_path, capsys, source):
+    # coset shifts belong to an explicit generator; next to a preset they
+    # would be dropped, and the verdict would be the preset's
+    out = tmp_path / "x.json"
+    argv = ["frame-bounds", "--set", "Z2", "--n", "32", "--out", str(out)]
+    if source == "flag":
+        argv += ["--shifts", "0.5,0.5"]
+    else:
+        conf = tmp_path / "job.json"
+        conf.write_text(json.dumps({"shifts": "0.5,0.5"}))
+        argv = ["--config", str(conf), *argv]
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert "configuration error: --shifts needs --generator" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("unbuffered", ["1", ""], ids=["unbuffered", "buffered"])
+def test_closed_stdout_exits_1_with_nothing_on_stderr(unbuffered):
+    # the read end of the child's stdout is closed before the child writes
+    import os
+    import subprocess
+    import gaborkit
+    src = os.path.dirname(os.path.dirname(gaborkit.__file__))
+    env = dict(os.environ, PYTHONUNBUFFERED=unbuffered,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "gaborkit.cli", "frame-bounds", "--hermite", "1",
+             "--set", "Z2", "--n", "32"],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (1, b"")

@@ -377,9 +377,10 @@ def eight_neighbour_minima(F):
 
 
 def padded(F, i0, i1):
-    # rows i0 .. i1 - 1 of F with one torus halo row and column on each side
-    from gaborkit.frames import _halo
-    return _halo(F[i0 - 1], F[i0:i1], F[i1 % len(F)])
+    # rows i0 .. i1 - 1 of F with one torus halo row and column on each side:
+    # rows i0 - 1 .. i1 mod N, wrapped by one column each way
+    P = F[np.arange(i0 - 1, i1 + 1) % len(F)]
+    return np.concatenate([P[:, -1:], P, P[:, :1]], axis=1)
 
 
 @pytest.mark.parametrize("N", [1, 2, 3, 5, 8, 33])
@@ -548,6 +549,24 @@ def test_grid_stage_matches_roll_reference_bit_for_bit(monkeypatch, N, sys_):
     assert zeros == frames._search_zeros(sys_.windows, N, None, 1e-10)
 
 
+# tiles of 1 row, as from N = 2**14 on, and of 2 and 3 rows: 33 rows are
+# tiles of 2 and a last 1, 64 rows tiles of 3 and a last 1
+@pytest.mark.parametrize("rows", [1, 2, 3])
+@pytest.mark.parametrize("N", [33, 64])
+@pytest.mark.parametrize("sys_", union_systems())
+def test_grid_stage_matches_roll_reference_with_short_tiles(monkeypatch, rows, N, sys_):
+    from gaborkit import frames, zak
+    for module in (zak, frames):
+        monkeypatch.setattr(module, "_tile_rows", lambda N: min(N, rows))
+    got = frames._grid_candidates(sys_.windows, N, None)
+    expected = roll_grid_candidates(sys_.windows, N, None)
+    assert got[:4] == expected[:4]
+    assert np.array_equal(got[4], expected[4])
+    zeros = frames._search_zeros(sys_.windows, N, None, 1e-10)
+    monkeypatch.setattr(frames, "_grid_candidates", roll_grid_candidates)
+    assert zeros == frames._search_zeros(sys_.windows, N, None, 1e-10)
+
+
 def test_grid_stage_holds_one_grid_sized_array():
     # no N x N array is made: the Zak surfaces arrive in row tiles of 2**14
     # values, from window values evaluated on about 2**11 points at a time,
@@ -569,8 +588,9 @@ def test_grid_stage_holds_one_grid_sized_array():
 
 
 def test_grid_stage_memory_grows_with_n_not_n_squared():
-    # a ring of row tiles of F and O(N) work arrays, about 3.5 MB at N = 2048
-    # for the system above, where F alone would take 8N^2 = 34 MB
+    # one row tile of F, one padded work tile and O(N) work arrays, about
+    # 3.3 MB at N = 2048 for the system above, where F alone would take
+    # 8N^2 = 34 MB
     import tracemalloc
     from gaborkit import frames
     union = point_set(np.eye(2), [(0.0, 0.0), (0.25, 0.25)])

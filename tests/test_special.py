@@ -139,6 +139,27 @@ def test_derivative_matches_finite_difference():
         assert abs(theta3(alpha).derivative - fd) <= 1e-8
 
 
+@pytest.mark.parametrize("alpha, value, derivative", [
+    (0.25, 2.000013949369425, -3.9993267269547337),
+    (0.5, 1.4194954880837662, -1.353120850749184),
+    (1.0, 1.086434811213308, -0.271608702803327),
+    (2.0, 1.003734885487739, -0.011733489039520206),
+    (4.0, 1.0000069746847124, -2.1911618253637414e-05),
+])
+def test_theta_suite_arguments_keep_their_bits(alpha, value, derivative):
+    tv = theta3(alpha)
+    assert (tv.value, tv.derivative) == (value, derivative)
+
+
+def test_theta_refuses_alpha_its_terms_do_not_certify():
+    # 256 terms certify alpha from about 1.8843e-4 on; below, the sum was
+    # returned short of theta_3 (479.74 at alpha = 1e-6, where theta_3 = 1000)
+    assert theta3(1.9e-4).value == pytest.approx(1.0 / math.sqrt(1.9e-4), rel=1e-14)
+    for alpha in (1.88e-4, 1e-6):
+        with pytest.raises(ValueError, match=f"for alpha = {alpha!r}:"):
+            theta3(alpha)
+
+
 def test_theta_rejects_nonpositive():
     with pytest.raises(ValueError):
         theta3(0.0)
